@@ -13,14 +13,15 @@ import argparse
 
 import numpy as np
 
-from gcfloer import gc_core, potential
+from gcfloer import potential
+from gcfloer.spaces import SPACES, UNIT
 
 
 def spaces():
+    """Each registered space's potential at the unit profile."""
     return {
-        "Fl3": potential.build_potential(gc_core.fl3_shape(), gc_core.fl3_profile(1, 1)),
-        "Gr24": potential.build_potential(gc_core.grassmannian_shape(2, 4), gc_core.gr24_profile(1)),
-        "Gr25": potential.build_potential(gc_core.grassmannian_shape(2, 5), gc_core.gr25_profile(1)),
+        name: potential.build_potential(space.shape, space.profile(UNIT))
+        for name, space in SPACES.items()
     }
 
 

@@ -16,9 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import floer, gc_core, potential, qh, verify
+from . import floer, gc_core, potential, verify
 from .novikov import as_fraction, module_presentation
 from .numerics import NonConvergenceError
+from .spaces import SPACES
 
 
 def rational(text):
@@ -54,19 +55,8 @@ def _emit(doc, fmt, csv_rows=None, csv_header=None):
         print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _shape_profile(args):
-    space = args.space
-    if space == "Fl3":
-        return gc_core.fl3_shape(), gc_core.fl3_profile(args.l1, args.l2)
-    if space == "Gr24":
-        return gc_core.grassmannian_shape(2, 4), gc_core.gr24_profile(args.lam)
-    if space == "Gr25":
-        return gc_core.grassmannian_shape(2, 5), gc_core.gr25_profile(args.lam)
-    raise ValueError(f"unknown space {space!r}")
-
-
 def _add_space_args(sub):
-    sub.add_argument("space", choices=("Fl3", "Gr24", "Gr25"))
+    sub.add_argument("space", choices=tuple(SPACES))
     sub.add_argument("--l1", type=rational, default=Fraction(1), help="Fl3 lambda_1")
     sub.add_argument("--l2", type=rational, default=Fraction(1), help="Fl3 lambda_2")
     sub.add_argument(
@@ -79,7 +69,8 @@ def _add_space_args(sub):
 
 
 def cmd_polytope(args):
-    shape, profile = _shape_profile(args)
+    space = SPACES[args.space]
+    shape, profile = space.shape, space.profile(args)
     polytope = gc_core.build_polytope(shape, profile)
     point = fiber = None
     diamonds = None
@@ -91,7 +82,7 @@ def cmd_polytope(args):
             print("error: point is not in the polytope", file=sys.stderr)
             return 2
         diamonds = gc_core.detect_diamonds(shape, profile, point)
-        fiber = gc_core.classify_fiber(args.space, profile, point)
+        fiber = gc_core.classify_fiber(args.space, polytope, point)
     doc = gc_core.polytope_to_json(polytope, point=point, fiber=fiber)
     doc["space"] = args.space
     doc["facet_count"] = sum(1 for iq in polytope.inequalities if iq.facet)
@@ -105,8 +96,8 @@ def cmd_polytope(args):
 
 
 def cmd_potential(args):
-    shape, profile = _shape_profile(args)
-    po = potential.build_potential(shape, profile)
+    space = SPACES[args.space]
+    po = potential.build_potential(space.shape, space.profile(args))
     doc = {
         "space": args.space,
         "variables": [list(p) for p in po.index.pairs],
@@ -127,22 +118,9 @@ def cmd_potential(args):
     return 0
 
 
-def _closed_form_candidates(space, args):
-    if space == "Fl3":
-        if args.l1 != args.l2:
-            raise ValueError(
-                "closed-form candidates for Fl3 require l1 == l2 "
-                "(otherwise the critical points are not Novikov monomials)"
-            )
-        return potential.fl3_critical_candidates(args.l1)
-    if space == "Gr24":
-        return potential.gr24_critical_candidates(args.lam)
-    return potential.gr25_critical_candidates(args.lam)
-
-
 def cmd_critical(args):
-    shape, profile = _shape_profile(args)
-    po = potential.build_potential(shape, profile)
+    space = SPACES[args.space]
+    po = potential.build_potential(space.shape, space.profile(args))
     T0 = float(args.T0)
     cfg = potential.SolverConfig(T0=T0, starts=args.starts, seed=args.seed)
     points = potential.find_critical_points(po, cfg)
@@ -170,7 +148,7 @@ def cmd_critical(args):
     }
     if args.verify_known:
         reports = []
-        for cand in _closed_form_candidates(args.space, args):
+        for cand in space.candidates(args):
             rep = potential.verify_candidate(po, cand)
             reports.append(
                 {
@@ -190,11 +168,8 @@ def cmd_critical(args):
 
 
 def cmd_qh(args):
-    if args.space == "Fl3":
-        eigs = qh.fl3_c1_eigenvalues(float(args.q1), float(args.q2))
-    else:
-        k, n = (2, 4) if args.space == "Gr24" else (2, 5)
-        eigs = qh.c1_eigenvalues_grassmannian(k, n, float(args.q))
+    space = SPACES[args.space]
+    eigs = space.c1_eigenvalues(tuple(float(getattr(args, f)) for f in space.q_flags))
     doc = {
         "space": args.space,
         "eigenvalues": [_complex_pair(v) for v in eigs],
@@ -206,24 +181,7 @@ def cmd_qh(args):
 
 def cmd_match(args):
     T0 = float(args.T0)
-    shape, profile = _shape_profile(args)
-    po = potential.build_potential(shape, profile)
-    pad = False
-    if args.space == "Fl3":
-        values = [
-            potential.evaluate(po, y, T0)
-            for y in potential.fl3_critical_points(args.l1, args.l2, T0)
-        ]
-        q1, q2 = qh.fl3_quantum_parameters(args.l1, args.l2, T0)
-        eigs = qh.fl3_c1_eigenvalues(q1, q2)
-    elif args.space == "Gr24":
-        values = potential.gr24_critical_values(args.lam, T0)
-        eigs = qh.c1_eigenvalues_grassmannian(2, 4, T0 ** float(2 * args.lam))
-        pad = True  # sigma_1 has a double zero eigenvalue with no critical point
-    else:
-        values = potential.gr25_critical_values(args.lam, T0)
-        eigs = qh.c1_eigenvalues_grassmannian(2, 5, T0 ** float(args.lam))
-    matched, pairing = qh.multiset_match(values, eigs, args.tol, allow_zero_padding=pad)
+    values, eigs, matched, pairing = SPACES[args.space].match_c1(args, T0, args.tol)
     doc = {
         "space": args.space,
         "T0": T0,
@@ -325,7 +283,7 @@ def build_parser():
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("qh", help="c1 eigenvalues; CSV columns: re, im")
-    p.add_argument("space", choices=("Fl3", "Gr24", "Gr25"))
+    p.add_argument("space", choices=tuple(SPACES))
     p.add_argument("--q", type=rational, default=Fraction(1), help="Grassmannian q")
     p.add_argument("--q1", type=rational, default=Fraction(1), help="Fl3 q1")
     p.add_argument("--q2", type=rational, default=Fraction(1), help="Fl3 q2")

@@ -478,23 +478,15 @@ class FiberDescriptor:
     annotations: tuple = ()
 
 
-SPACES = {
-    "Fl3": (fl3_shape, lambda params: fl3_profile(*params)),
-    "Gr24": (lambda: grassmannian_shape(2, 4), lambda params: gr24_profile(*params)),
-    "Gr25": (lambda: grassmannian_shape(2, 5), lambda params: gr25_profile(*params)),
-}
+def classify_fiber(space, polytope, u, tol=1e-8):
+    """Classify the Gelfand-Cetlin fiber over u in a built polytope.
 
-
-def classify_fiber(space, profile, u, tol=1e-8):
-    """Classify the Gelfand-Cetlin fiber over u for one of the three spaces.
-
-    space is "Fl3", "Gr24", or "Gr25"; profile fixes the polytope.  Strata
-    beyond the hard-coded table come back as unknown-nonsmooth.
+    space names the polytope's space ("Fl3", "Gr24" or "Gr25") and selects
+    the rows of the stratum table.  Strata beyond the hard-coded table, and
+    every non-torus fiber of a space the table does not name, come back as
+    unknown-nonsmooth.
     """
-    if space not in SPACES:
-        raise ValueError(f"unknown space {space!r}")
-    shape = SPACES[space][0]()
-    polytope = build_polytope(shape, profile)
+    shape, profile = polytope.shape, polytope.profile
     if not isinstance(u, GCPoint):
         u = GCPoint(tuple(u), polytope.index)
     inside, _active = contains(polytope, u, tol)

@@ -1,17 +1,16 @@
-"""Small dense complex/Hermitian eigenvalue routines and periodic quadrature.
+"""Eigenvalues with fixed ordering contracts, and periodic quadrature.
 
-Everything here is desk-scale (matrices of dimension at most 12), so the
-algorithms are chosen for robustness and checkability rather than speed:
-cyclic Jacobi for Hermitian matrices, Hessenberg + shifted QR for general
-complex matrices, and adaptive composite Gauss-Legendre for integrals of
-smooth periodic functions over [0, 2*pi].
+The eigenvalue functions check their input (square; Hermitian within
+HERMITIAN_TOL) and hand the work to LAPACK through numpy.linalg; what they
+add is a deterministic output order that callers and printed output rely
+on.  integrate_periodic is adaptive composite Gauss-Legendre for integrals
+of smooth periodic functions over [0, 2*pi].
 """
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-JACOBI_OFFDIAG_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
+SORT_RESOLUTION = 1e-9  # relative grid on which eigenvalue sort keys are compared
 
 
 class NonConvergenceError(RuntimeError):
@@ -41,149 +40,21 @@ def check_hermitian(m, tol=HERMITIAN_TOL):
     return a
 
 
-def hermitian_eigenvalues(m, return_vectors=False):
-    """Eigenvalues of a Hermitian matrix, sorted in decreasing order.
+def hermitian_eigenvalues(m):
+    """Eigenvalues of a Hermitian matrix, sorted in decreasing order."""
+    return np.linalg.eigvalsh(check_hermitian(m))[::-1]
 
-    Uses cyclic Jacobi rotations (complex variant).  Optionally returns the
-    accumulated unitary V with m @ V = V @ diag(eigs).
+
+def complex_eigenvalues(m):
+    """All eigenvalues of a square complex matrix, sorted by (real, imag).
+
+    The sort key rounds both parts to 1e-9 of the spectral scale, so parts
+    that agree in exact arithmetic (a real part 0 against -1e-16) compare
+    equal and the order does not depend on rounding noise.
     """
-    a = check_hermitian(m).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        eigs = np.array([a[0, 0].real])
-        return (eigs, v) if return_vectors else eigs
-
-    scale = max(1.0, np.abs(a).max())
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off < JACOBI_OFFDIAG_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                # Phase to reduce to the real symmetric 2x2 case.
-                phase = apq / abs(apq)
-                tau = (app - aqq) / (2.0 * abs(apq))
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # Rotation acting on columns p, q (unitary).
-                gp = c
-                gq = s * np.conj(phase)
-                # Update A = G* A G.
-                col_p = a[:, p] * gp + a[:, q] * gq
-                col_q = -a[:, p] * np.conj(gq) + a[:, q] * gp
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = a[p, :] * np.conj(gp) + a[q, :] * np.conj(gq)
-                row_q = -a[p, :] * gq + a[q, :] * np.conj(gp)
-                a[p, :], a[q, :] = row_p, row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vcol_p = v[:, p] * gp + v[:, q] * gq
-                vcol_q = -v[:, p] * np.conj(gq) + v[:, q] * gp
-                v[:, p], v[:, q] = vcol_p, vcol_q
-    else:
-        raise NonConvergenceError(
-            "Jacobi iteration did not converge",
-            last_estimate=np.sort(np.diag(a).real)[::-1],
-        )
-
-    eigs = np.diag(a).real
-    order = np.argsort(-eigs)
-    eigs = eigs[order]
-    v = v[:, order]
-    return (eigs, v) if return_vectors else eigs
-
-
-def _hessenberg(a):
-    """Reduce to upper Hessenberg form by Householder reflections."""
-    h = a.copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1:, k].copy()
-        if np.abs(x[1:]).max(initial=0.0) == 0.0:
-            continue
-        alpha = -np.exp(1j * np.angle(x[0])) * np.linalg.norm(x) if x[0] != 0 else np.linalg.norm(x)
-        u = x.copy()
-        u[0] -= alpha
-        u /= np.linalg.norm(u)
-        h[k + 1:, k:] -= 2.0 * np.outer(u, u.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ u, u.conj())
-    return h
-
-
-def _eig2(a, b, c, d):
-    """Eigenvalues of [[a, b], [c, d]] by the quadratic formula."""
-    tr = a + d
-    disc = np.sqrt((a - d) ** 2 + 4.0 * b * c + 0j)
-    return 0.5 * (tr + disc), 0.5 * (tr - disc)
-
-
-def complex_eigenvalues(m, max_iters=2000):
-    """All eigenvalues of a square complex matrix (dimension <= 12).
-
-    Hessenberg reduction followed by QR iteration with Wilkinson shifts;
-    output sorted lexicographically by (real, imag).
-    """
-    a = _as_square_complex(m)
-    n = a.shape[0]
-    if n > 12:
-        raise ValueError("complex_eigenvalues supports dimension <= 12")
-    if n == 0:
-        return np.array([], dtype=complex)
-    if n == 1:
-        return a[0, 0:1].astype(complex)
-
-    h = _hessenberg(a)
-    scale = max(1.0, np.abs(h).max())
-    eigs = []
-    hi = n  # active block is h[:hi, :hi]
-    iters = 0
-    while hi > 0:
-        if hi == 1:
-            eigs.append(h[0, 0])
-            hi = 0
-            continue
-        # Deflate where a subdiagonal entry is negligible.
-        deflated = False
-        for k in range(hi - 1, 0, -1):
-            if abs(h[k, k - 1]) < 1e-14 * scale * (1.0 + abs(h[k, k]) + abs(h[k - 1, k - 1])):
-                h[k, k - 1] = 0.0
-                if k == hi - 1:
-                    eigs.append(h[hi - 1, hi - 1])
-                    hi -= 1
-                    deflated = True
-                break
-        if deflated:
-            continue
-        if hi == 2:
-            l1, l2 = _eig2(h[0, 0], h[0, 1], h[1, 0], h[1, 1])
-            eigs.extend([l1, l2])
-            hi = 0
-            continue
-        iters += 1
-        if iters > max_iters:
-            raise NonConvergenceError("QR iteration did not converge", last_estimate=np.array(eigs))
-        # Wilkinson shift from the trailing 2x2 block (exceptional shift
-        # every 30 iterations to break symmetry cycles).
-        if iters % 30 == 0:
-            sigma = h[hi - 1, hi - 1] + abs(h[hi - 1, hi - 2])
-        else:
-            l1, l2 = _eig2(h[hi - 2, hi - 2], h[hi - 2, hi - 1], h[hi - 1, hi - 2], h[hi - 1, hi - 1])
-            sigma = l1 if abs(l1 - h[hi - 1, hi - 1]) <= abs(l2 - h[hi - 1, hi - 1]) else l2
-        block = h[:hi, :hi]
-        q, r = np.linalg.qr(block - sigma * np.eye(hi))
-        h[:hi, :hi] = r @ q + sigma * np.eye(hi)
-
-    eigs = np.array(eigs, dtype=complex)
-    order = np.lexsort((eigs.imag, eigs.real))
+    eigs = np.linalg.eigvals(_as_square_complex(m))
+    scale = SORT_RESOLUTION * max(1.0, np.abs(eigs).max(initial=0.0))
+    order = np.lexsort((np.rint(eigs.imag / scale), np.rint(eigs.real / scale)))
     return eigs[order]
 
 

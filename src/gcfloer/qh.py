@@ -147,17 +147,14 @@ def fl3_c1_eigenvalues(q1_value, q2_value):
     return complex_eigenvalues(mat)
 
 
-def fl3_quantum_parameters(l1, l2, T0):
-    """Quantum parameters matched to Novikov data: q1 = Q1/Q2, q2 = Q2/Q3
-    for Q_j = T^{lambda_{n_j}} with profile (l1, 0, -l2)."""
-    return T0 ** float(l1), T0 ** float(l2)
-
-
 def multiset_match(a, b, tol, allow_zero_padding=False):
     """Optimal matching of two complex multisets.
 
-    Returns (matched, pairing) where pairing is a list of index pairs
-    (i, j) with |a[i] - b[j]| < tol; padded entries are indexed None.
+    Returns (matched, pairing): pairing lists one index pair (i, j) per
+    entry, matching a[i] to b[j], and matched says whether every pair has
+    |a[i] - b[j]| < tol.  With allow_zero_padding the shorter list is
+    padded with zeros; a padded entry of a has index i >= len(a) (likewise
+    for b).
     """
     a = [complex(v) for v in a]
     b = [complex(v) for v in b]

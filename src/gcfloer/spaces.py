@@ -1,0 +1,80 @@
+"""The reference spaces Fl(3), Gr(2,4) and Gr(2,5), each defined once.
+
+Parameters come from any object with l1, l2 and lam attributes (an argparse
+namespace, or UNIT for the unit profile); Fl3 reads l1 and l2, the
+Grassmannians read lam.
+"""
+
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable
+
+from . import gc_core, potential, qh
+
+UNIT = SimpleNamespace(l1=1, l2=1, lam=1)
+
+
+@dataclass(frozen=True)
+class Space:
+    name: str
+    shape: gc_core.FlagShape
+    profile: Callable  # params -> EigenProfile
+    candidates: Callable  # params -> closed-form CriticalCandidates
+    critical_values: Callable  # (params, T0) -> critical values at T0
+    c1_eigenvalues: Callable  # q, one value per step -> sorted c1 eigenvalues
+    pad_zeros: bool = False  # c1 has zero eigenvalues with no critical point
+
+    @property
+    def q_flags(self):
+        """Names of the quantum parameters, one per step of the flag."""
+        r = len(self.shape.steps)
+        return ("q",) if r == 1 else tuple(f"q{j}" for j in range(1, r + 1))
+
+    def quantum_parameters(self, profile, T0):
+        """q_j = T0^(lambda_{n_j} - lambda_{n_j + 1}) for each step n_j."""
+        return tuple(T0 ** float(profile.value(n) - profile.value(n + 1))
+                     for n in self.shape.steps)
+
+    def match_c1(self, params, T0, tol):
+        """Critical values at T0 against the c1 eigenvalues at the matching q.
+
+        Returns (values, eigenvalues, matched, pairing), the last two as
+        from qh.multiset_match.
+        """
+        values = self.critical_values(params, T0)
+        eigs = self.c1_eigenvalues(self.quantum_parameters(self.profile(params), T0))
+        matched, pairing = qh.multiset_match(
+            values, eigs, tol, allow_zero_padding=self.pad_zeros
+        )
+        return values, eigs, matched, pairing
+
+
+def _fl3_candidates(p):
+    if p.l1 != p.l2:
+        raise ValueError(
+            "closed-form candidates for Fl3 require l1 == l2 "
+            "(otherwise the critical points are not Novikov monomials)"
+        )
+    return potential.fl3_critical_candidates(p.l1)
+
+
+def _fl3_critical_values(p, T0):
+    po = potential.build_potential(gc_core.fl3_shape(), gc_core.fl3_profile(p.l1, p.l2))
+    points = potential.fl3_critical_points(p.l1, p.l2, T0)
+    return [potential.evaluate(po, y, T0) for y in points]
+
+
+def _grassmannian(name, k, n, profile, candidates, critical_values, pad_zeros=False):
+    return Space(name, gc_core.grassmannian_shape(k, n), lambda p: profile(p.lam),
+                 lambda p: candidates(p.lam), lambda p, T0: critical_values(p.lam, T0),
+                 lambda q: qh.c1_eigenvalues_grassmannian(k, n, *q), pad_zeros)
+
+
+SPACES = {space.name: space for space in (
+    Space("Fl3", gc_core.fl3_shape(), lambda p: gc_core.fl3_profile(p.l1, p.l2),
+          _fl3_candidates, _fl3_critical_values, lambda q: qh.fl3_c1_eigenvalues(*q)),
+    _grassmannian("Gr24", 2, 4, gc_core.gr24_profile, potential.gr24_critical_candidates,
+                  potential.gr24_critical_values, pad_zeros=True),
+    _grassmannian("Gr25", 2, 5, gc_core.gr25_profile, potential.gr25_critical_candidates,
+                  potential.gr25_critical_values),
+)}

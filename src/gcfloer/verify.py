@@ -20,6 +20,7 @@ import numpy as np
 
 from . import floer, gc_core, potential, qh
 from .novikov import NovikovMatrix, NovikovSeries, module_presentation
+from .spaces import SPACES, UNIT
 
 
 @dataclass(frozen=True)
@@ -75,21 +76,14 @@ _EXPECTED_TERMS = {
 }
 
 
-def _space_setup(space):
-    if space == "Fl3":
-        return gc_core.fl3_shape(), gc_core.fl3_profile(1, 1)
-    if space == "Gr24":
-        return gc_core.grassmannian_shape(2, 4), gc_core.gr24_profile(1)
-    if space == "Gr25":
-        return gc_core.grassmannian_shape(2, 5), gc_core.gr25_profile(1)
-    raise ValueError(space)
+def _unit_potential(space):
+    return potential.build_potential(space.shape, space.profile(UNIT))
 
 
 def check_potential_structure(fast=False):
     bad = []
     for space, expected in _EXPECTED_TERMS.items():
-        shape, profile = _space_setup(space)
-        po = potential.build_potential(shape, profile)
+        po = _unit_potential(SPACES[space])
         got = po.term_multiset()
         if got != expected:
             bad.append(f"{space}: got {got}")
@@ -116,8 +110,7 @@ def check_critical_counts(fast=False):
     details = []
     ok = True
     for space, expected in _EXPECTED_COUNTS.items():
-        shape, profile = _space_setup(space)
-        po = potential.build_potential(shape, profile)
+        po = _unit_potential(SPACES[space])
         starts = _STARTS[space] // (3 if fast else 1)
         counts = set()
         for T0 in T0s:
@@ -134,31 +127,23 @@ def check_critical_counts(fast=False):
 # 3. closed-form critical points
 
 
-def _closed_form_candidates(space):
-    if space == "Fl3":
-        return potential.fl3_critical_candidates(1)
-    if space == "Gr24":
-        return potential.gr24_critical_candidates(1)
-    return potential.gr25_critical_candidates(1)
+_EXPECTED_VALUATIONS = {"Gr24": (Fraction(1), Fraction(3, 2), Fraction(1, 2), Fraction(1))}
 
 
 def check_closed_forms(fast=False):
     problems = []
-    for space in ("Fl3", "Gr24", "Gr25"):
-        shape, profile = _space_setup(space)
-        po = potential.build_potential(shape, profile)
-        for cand in _closed_form_candidates(space):
+    for name, space in SPACES.items():
+        po = _unit_potential(space)
+        want = _EXPECTED_VALUATIONS.get(name)
+        for cand in space.candidates(UNIT):
             rep = potential.verify_candidate(po, cand, T0_list=(0.45, 0.55))
             if rep["max_residual"] >= 1e-9:
-                problems.append(f"{space}: residual {rep['max_residual']:.3g}")
+                problems.append(f"{name}: residual {rep['max_residual']:.3g}")
             nondeg, _ = potential.hessian_nondegenerate(po, cand, 0.5)
             if not nondeg:
-                problems.append(f"{space}: degenerate Hessian")
-        if space == "Gr24":
-            want = (Fraction(1), Fraction(3, 2), Fraction(1, 2), Fraction(1))
-            for cand in _closed_form_candidates(space):
-                if tuple(cand.exps) != want:
-                    problems.append(f"Gr24: valuations {cand.exps}")
+                problems.append(f"{name}: degenerate Hessian")
+            if want is not None and tuple(cand.exps) != want:
+                problems.append(f"{name}: valuations {cand.exps}")
     if problems:
         return _result("03-closed-forms", False, "; ".join(problems[:4]))
     return _result(
@@ -173,44 +158,28 @@ def check_closed_forms(fast=False):
 # 4. critical values
 
 
+# T-exponents of the critical values at the unit profile: Gr24 values are
+# 4 sqrt(2) i^j Q^{1/4} with Q = T^2, Gr25 values -5(z5^i + z5^j) Q^{1/5}
+# with Q = T.
+_EXPECTED_VALUE_EXPONENTS = {"Gr24": Fraction(1, 2), "Gr25": Fraction(1, 5)}
+
+
 def check_critical_values(fast=False):
     problems = []
-    # Gr(2,4): values 4 sqrt(2) i^j Q^{1/4}, Q = T^2 (lam = 1); the value
-    # scales as Q^{1/4}, i.e. T-exponent 1/2.
-    shape, profile = _space_setup("Gr24")
-    po = potential.build_potential(shape, profile)
-    for T0 in (0.5, 0.6):
-        got = [
-            potential.evaluate(po, c.numeric_at(T0), T0)
-            for c in potential.gr24_critical_candidates(1)
-        ]
-        ok, _ = qh.multiset_match(got, potential.gr24_critical_values(1, T0), 1e-8)
-        if not ok:
-            problems.append(f"Gr24 value mismatch at T0={T0}")
-    rep = potential.verify_candidate(
-        po, potential.gr24_critical_candidates(1)[0], T0_list=(0.45, 0.55)
-    )
-    q_exp = rep["value_exponent_rational"] / 2  # Q = T^2
-    if q_exp != Fraction(1, 4) or abs(rep["value_exponent"] - 0.5) > 1e-10:
-        problems.append(f"Gr24 exponent fit {rep['value_exponent_rational']}")
-
-    shape, profile = _space_setup("Gr25")
-    po = potential.build_potential(shape, profile)
-    for T0 in (0.5, 0.6):
-        got = [
-            potential.evaluate(po, c.numeric_at(T0), T0)
-            for c in potential.gr25_critical_candidates(1)
-        ]
-        ok, _ = qh.multiset_match(got, potential.gr25_critical_values(1, T0), 1e-8)
-        if not ok:
-            problems.append(f"Gr25 value mismatch at T0={T0}")
-    rep = potential.verify_candidate(
-        po, potential.gr25_critical_candidates(1)[0], T0_list=(0.45, 0.55)
-    )
-    if rep["value_exponent_rational"] != Fraction(1, 5) or abs(
-        rep["value_exponent"] - 0.2
-    ) > 1e-10:
-        problems.append(f"Gr25 exponent fit {rep['value_exponent_rational']}")
+    for name, want in _EXPECTED_VALUE_EXPONENTS.items():
+        space = SPACES[name]
+        po = _unit_potential(space)
+        cands = space.candidates(UNIT)
+        for T0 in (0.5, 0.6):
+            got = [potential.evaluate(po, c.numeric_at(T0), T0) for c in cands]
+            ok, _ = qh.multiset_match(got, space.critical_values(UNIT, T0), 1e-8)
+            if not ok:
+                problems.append(f"{name} value mismatch at T0={T0}")
+        rep = potential.verify_candidate(po, cands[0], T0_list=(0.45, 0.55))
+        if rep["value_exponent_rational"] != want or abs(
+            rep["value_exponent"] - float(want)
+        ) > 1e-10:
+            problems.append(f"{name} exponent fit {rep['value_exponent_rational']}")
     if problems:
         return _result("04-critical-values", False, "; ".join(problems))
     return _result(
@@ -225,33 +194,16 @@ def check_critical_values(fast=False):
 # 5. quantum cohomology eigenvalues
 
 
+# base value T0 at which each space's critical values are compared
+_QH_T0 = {"Fl3": 0.5, "Gr24": 0.5, "Gr25": 0.6}
+
+
 def check_qh_match(fast=False):
-    problems = []
-    # Fl(3): q1 = T^l1, q2 = T^l2
-    T0 = 0.5
-    shape, profile = _space_setup("Fl3")
-    po = potential.build_potential(shape, profile)
-    values = [
-        potential.evaluate(po, y, T0) for y in potential.fl3_critical_points(1, 1, T0)
+    problems = [
+        f"{name} mismatch"
+        for name, T0 in _QH_T0.items()
+        if not SPACES[name].match_c1(UNIT, T0, 1e-7)[2]
     ]
-    q1, q2 = qh.fl3_quantum_parameters(1, 1, T0)
-    ok, _ = qh.multiset_match(values, qh.fl3_c1_eigenvalues(q1, q2), 1e-7)
-    if not ok:
-        problems.append("Fl3 mismatch")
-    # Gr(2,4): critical values with {0, 0} appended against 4 sigma_1 at
-    # q = Q = T^{2 lam}
-    values = potential.gr24_critical_values(1, T0)
-    eigs = qh.c1_eigenvalues_grassmannian(2, 4, T0**2)
-    ok, _ = qh.multiset_match(values, eigs, 1e-7, allow_zero_padding=True)
-    if not ok:
-        problems.append("Gr24 mismatch")
-    # Gr(2,5): q = Q = T^{lam}
-    T0 = 0.6
-    values = potential.gr25_critical_values(1, T0)
-    eigs = qh.c1_eigenvalues_grassmannian(2, 5, T0)
-    ok, _ = qh.multiset_match(values, eigs, 1e-7)
-    if not ok:
-        problems.append("Gr25 mismatch")
     if problems:
         return _result("05-qh-eigenvalues", False, "; ".join(problems))
     return _result(
@@ -336,20 +288,20 @@ def check_geometry(fast=False):
     problems = []
     n_points = 34 if fast else 334
     rng = np.random.default_rng(2024)
-    for space in ("Fl3", "Gr24", "Gr25"):
-        shape, profile = _space_setup(space)
-        polytope = gc_core.build_polytope(shape, profile)
+    for name, space in SPACES.items():
+        profile = space.profile(UNIT)
+        polytope = gc_core.build_polytope(space.shape, profile)
         for _ in range(n_points):
             x = _random_orbit_point(rng, profile)
-            u = gc_core.gc_map(x, shape, profile)
+            u = gc_core.gc_map(x, space.shape, profile)
             inside, _ = gc_core.contains(polytope, u)
             if not inside:
-                problems.append(f"{space}: moment image left the polytope")
+                problems.append(f"{name}: moment image left the polytope")
                 break
 
     # fiber constructors land on their pattern points
-    shape, profile = _space_setup("Fl3")
-    u = gc_core.gc_map(gc_core.fl3_s3_point(1, 1, [0.6, 0.8j]), shape, profile)
+    fl3 = SPACES["Fl3"]
+    u = gc_core.gc_map(gc_core.fl3_s3_point(1, 1, [0.6, 0.8j]), fl3.shape, fl3.profile(UNIT))
     if np.max(np.abs(u.as_array())) > 1e-8:
         problems.append("fl3_s3_point misses u = (0,0,0)")
     shape = gc_core.grassmannian_shape(2, 4)
@@ -358,9 +310,9 @@ def check_geometry(fast=False):
     u = gc_core.gc_map(gc_core.gr2n_un_point(2, 1, 0.25, A), shape, profile)
     if np.max(np.abs(u.as_array() - 0.25)) > 1e-8:
         problems.append("gr2n_un_point misses u = (t,t,t,t)")
-    shape, profile = _space_setup("Gr25")
+    gr25 = SPACES["Gr25"]
     x = gc_core.gr25_L1_point(1, 0.7, 0.5, 0.3, 0.4, 1.1, A)
-    u = gc_core.gc_map(x, shape, profile)
+    u = gc_core.gc_map(x, gr25.shape, gr25.profile(UNIT))
     want = np.array([0.5, 0.7, 0.3, 0.3, 0.3, 0.3])
     if np.max(np.abs(u.as_array() - want)) > 1e-8:
         problems.append("gr25_L1_point misses u = (s2, s1, t, t, t, t)")

@@ -83,6 +83,9 @@ def test_qh_gr24_double_zero(capsys):
     eigs = [complex(re, im) for re, im in json.loads(out)["eigenvalues"]]
     zeros = [v for v in eigs if abs(v) < 1e-9]
     assert len(eigs) == 6 and len(zeros) == 2
+    # ordered by (real, imag), parts equal in exact arithmetic comparing equal
+    r = 2 * np.sqrt(2)
+    assert np.abs(np.array(eigs) - [-r, -r * 1j, 0, 0, r * 1j, r]).max() < 1e-9
 
 
 def test_match_subcommands(capsys):

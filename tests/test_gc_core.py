@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,14 +30,11 @@ from gcfloer.gc_core import (
     polytope_from_json,
     polytope_to_json,
 )
+from gcfloer.spaces import SPACES, UNIT
 
 
 def spaces():
-    return [
-        ("Fl3", fl3_shape(), fl3_profile(1, 1)),
-        ("Gr24", grassmannian_shape(2, 4), gr24_profile(1)),
-        ("Gr25", grassmannian_shape(2, 5), gr25_profile(1)),
-    ]
+    return [(name, space.shape, space.profile(UNIT)) for name, space in SPACES.items()]
 
 
 def test_index_sets():
@@ -232,49 +230,42 @@ def test_constructor_input_validation():
 
 
 def test_classify_fiber_table():
-    profile = fl3_profile(1, 1)
-    idx = index_set(fl3_shape(), profile)
-    f = classify_fiber("Fl3", profile, GCPoint((0.5, -0.5, 0.1), idx))
+    polytope = build_polytope(fl3_shape(), fl3_profile(1, 1))
+    f = classify_fiber("Fl3", polytope, GCPoint((0.5, -0.5, 0.1), polytope.index))
     assert (f.kind, f.real_dimension, f.lagrangian) == ("torus", 3, True)
-    f = classify_fiber("Fl3", profile, GCPoint((0.0, 0.0, 0.0), idx))
+    f = classify_fiber("Fl3", polytope, GCPoint((0.0, 0.0, 0.0), polytope.index))
     assert (f.kind, f.real_dimension, f.lagrangian) == ("S3", 3, True)
-    f = classify_fiber("Fl3", profile, GCPoint((1.0, 0.0, 1.0), idx))
+    f = classify_fiber("Fl3", polytope, GCPoint((1.0, 0.0, 1.0), polytope.index))
     assert f.kind == "torus" and f.real_dimension == 0
+    with pytest.raises(ValueError, match="polytope"):
+        classify_fiber("Fl3", polytope, GCPoint((5.0, 0.0, 0.0), polytope.index))
 
-    profile = gr24_profile(1)
-    idx = index_set(grassmannian_shape(2, 4), profile)
-    f = classify_fiber("Gr24", profile, GCPoint((1.0,) * 4, idx))
+    polytope = build_polytope(grassmannian_shape(2, 4), gr24_profile(1))
+    f = classify_fiber("Gr24", polytope, GCPoint((1.0,) * 4, polytope.index))
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2", 4, True)
     assert "displaceable" not in f.annotations  # the monotone level
-    f = classify_fiber("Gr24", profile, GCPoint((0.3,) * 4, idx))
+    f = classify_fiber("Gr24", polytope, GCPoint((0.3,) * 4, polytope.index))
     assert f.kind == "U2" and "displaceable" in f.annotations
+    # a space the stratum table does not name has no known non-torus strata
+    f = classify_fiber("Gr36", polytope, (0.3,) * 4)
+    assert f.kind == "unknown-nonsmooth"
 
-    profile = gr25_profile(1)
-    idx = index_set(grassmannian_shape(2, 5), profile)
-    f = classify_fiber("Gr25", profile, GCPoint((0.5, 0.7, 0.3, 0.3, 0.3, 0.3), idx))
+    polytope = build_polytope(grassmannian_shape(2, 5), gr25_profile(1))
+    idx = polytope.index
+    f = classify_fiber("Gr25", polytope, GCPoint((0.5, 0.7, 0.3, 0.3, 0.3, 0.3), idx))
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2xT2", 6, True)
     assert "displaceable" in f.annotations
-    f = classify_fiber("Gr25", profile, GCPoint((0.5, 0.5, 0.5, 0.5, 0.2, 0.3), idx))
+    f = classify_fiber("Gr25", polytope, GCPoint((0.5, 0.5, 0.5, 0.5, 0.2, 0.3), idx))
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2xT2", 6, True)
-    f = classify_fiber("Gr25", profile, GCPoint((0.4,) * 6, idx))
+    f = classify_fiber("Gr25", polytope, GCPoint((0.4,) * 6, idx))
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2", 4, False)
-
-    with pytest.raises(ValueError, match="polytope"):
-        classify_fiber("Fl3", fl3_profile(1, 1), GCPoint((5.0, 0.0, 0.0), idx3()))
-    with pytest.raises(ValueError, match="unknown space"):
-        classify_fiber("Gr36", gr24_profile(1), (0.3,) * 4)
-
-
-def idx3():
-    return index_set(fl3_shape(), fl3_profile(1, 1))
 
 
 def test_classify_fiber_unknown_stratum():
     # a boundary degeneracy outside the hard-coded table
-    profile = gr25_profile(1)
-    idx = index_set(grassmannian_shape(2, 5), profile)
-    u = GCPoint((0.0, 0.3, 0.0, 0.0, 0.0, 0.0), idx)
-    f = classify_fiber("Gr25", profile, u)
+    polytope = build_polytope(grassmannian_shape(2, 5), gr25_profile(1))
+    u = GCPoint((0.0, 0.3, 0.0, 0.0, 0.0, 0.0), polytope.index)
+    f = classify_fiber("Gr25", polytope, u)
     assert f.kind == "unknown-nonsmooth"
     assert f.real_dimension == -1
 
@@ -307,3 +298,32 @@ def test_random_orbit_points_map_into_polytope(seed):
     x = q @ np.diag(vals) @ q.conj().T
     u = gc_map(x, shape, profile)
     assert contains(polytope, u)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    halves=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+)
+def test_gc_map_interlaces(seed, halves):
+    # Cauchy interlacing: the i-th largest eigenvalue of the k x k corner lies
+    # between the i-th and (i+1)-th of the (k+1) x (k+1) corner; level n is
+    # the profile and entries gc_map drops are the profile's constants
+    l1, l2, lam = (Fraction(h, 2) for h in halves)
+    params = SimpleNamespace(l1=l1, l2=l2, lam=lam)
+    rng = np.random.default_rng(seed)
+    for space in SPACES.values():
+        shape, profile = space.shape, space.profile(params)
+        n = shape.ambient
+        vals = np.array([float(v) for v in profile.values])
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        u = gc_map(q @ np.diag(vals) @ q.conj().T, shape, profile)
+        entries = dict(zip(u.index.pairs, u.values))
+
+        def level(k):
+            return [entries.get((i, k), float(profile.value(i))) for i in range(1, k + 1)]
+
+        for k in range(1, n):
+            inner, outer = level(k), level(k + 1)
+            for i in range(k):
+                assert outer[i] + 1e-9 >= inner[i] >= outer[i + 1] - 1e-9

@@ -1,16 +1,19 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from gcfloer.numerics import complex_eigenvalues
+from gcfloer import gc_core, potential
 from gcfloer.qh import (
     c1_eigenvalues_grassmannian,
-    fl3_c1_eigenvalues,
     fl3_c1_matrix,
-    fl3_quantum_parameters,
     multiset_match,
     partitions_in_box,
     sigma1_matrix,
 )
+from gcfloer.spaces import SPACES
 
 
 def test_partitions_in_box():
@@ -82,16 +85,28 @@ def test_fl3_c1_matrix_structure():
     assert np.abs(np.linalg.matrix_power(m0, 6)).max() < 1e-12
 
 
-def test_fl3_eigenvalues_against_dense_solver():
-    q1, q2 = 0.3, 0.2
-    got = fl3_c1_eigenvalues(q1, q2)
-    want = complex_eigenvalues(fl3_c1_matrix().at(q1, q2))
-    assert np.abs(np.array(got) - np.array(want)).max() < 1e-9
-    assert len(got) == 6
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (2, 5), (2, 6), (3, 6)])
+def test_c1_eigenvalues_grassmannian_closed_form(k, n):
+    # Rietsch (2001): the c1 eigenvalues of Gr(k, n) at q are n (x_j1 + ... +
+    # x_jk) over the k-subsets of the roots of x^n = (-1)^(k+1) q.
+    q = 0.3
+    roots = ((-1) ** (k + 1) * q + 0j) ** (1 / n) * np.exp(2j * np.pi * np.arange(n) / n)
+    want = np.array([n * sum(sub) for sub in itertools.combinations(roots, k)])
+    got = c1_eigenvalues_grassmannian(k, n, q)
+    cost = np.abs(np.subtract.outer(got, want))
+    rows, cols = linear_sum_assignment(cost)
+    assert len(got) == len(want)
+    assert cost[rows, cols].max() < 1e-10
 
 
 def test_fl3_quantum_parameters():
-    assert fl3_quantum_parameters(1, 2, 0.5) == (0.5, 0.25)
+    # q_j = T^(lambda_{n_j} - lambda_{n_j + 1}) reproduces the matched
+    # parameters: Fl3 (T^l1, T^l2), Gr24 T^(2 lam), Gr25 T^lam
+    fl3, gr24, gr25 = SPACES["Fl3"], SPACES["Gr24"], SPACES["Gr25"]
+    assert fl3.quantum_parameters(gc_core.fl3_profile(1, 2), 0.5) == (0.5, 0.25)
+    lam = Fraction(3, 2)
+    assert gr24.quantum_parameters(gc_core.gr24_profile(lam), 0.5) == (0.5**3.0,)
+    assert gr25.quantum_parameters(gc_core.gr25_profile(lam), 0.5) == (0.5**1.5,)
 
 
 def test_multiset_match():
@@ -103,3 +118,16 @@ def test_multiset_match():
         multiset_match([1.0], [1.0, 2.0], 1e-9)
     ok, _ = multiset_match([1.0], [1.0, 0.0], 1e-9, allow_zero_padding=True)
     assert ok
+
+
+def test_multiset_match_padded_indices_gr24():
+    # four critical values against six eigenvalues: the two padded zeros
+    # get the integer indices 4 and 5 and pair with the double zero
+    values = potential.gr24_critical_values(1, 0.5)
+    eigs = c1_eigenvalues_grassmannian(2, 4, 0.25)
+    ok, pairing = multiset_match(values, eigs, 1e-7, allow_zero_padding=True)
+    assert ok and len(pairing) == 6
+    padded = sorted((i, j) for i, j in pairing if i >= len(values))
+    assert [i for i, _ in padded] == [4, 5]
+    assert all(abs(eigs[j]) < 1e-9 for _, j in padded)
+    assert all(abs(values[i] - eigs[j]) < 1e-7 for i, j in pairing if i < len(values))
