@@ -14,6 +14,7 @@ import argparse
 import numpy as np
 
 from gcfloer import potential
+from gcfloer.numerics import NonConvergenceError
 from gcfloer.spaces import SPACES, UNIT
 
 
@@ -37,11 +38,14 @@ def main():
         for T0 in args.T0:
             for seed in args.seeds:
                 cfg = potential.SolverConfig(T0=T0, seed=seed, starts=args.starts)
-                pts = potential.find_critical_points(pot, cfg)
+                try:
+                    pts = potential.find_critical_points(pot, cfg)
+                except NonConvergenceError:
+                    pts = []
                 vals = sorted(abs(potential.evaluate(pot, p.y, T0)) for p in pts)
-                resid = max(p.residual for p in pts)
+                resid = f"{max(p.residual for p in pts):10.2e}" if pts else f"{'-':>10}"
                 vals_str = ",".join(f"{v:.4f}" for v in vals)
-                print(f"{name:6} {T0:5.2f} {seed:4d} {len(pts):5d} {resid:10.2e} {vals_str:>30}")
+                print(f"{name:6} {T0:5.2f} {seed:4d} {len(pts):5d} {resid} {vals_str:>30}")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,11 @@ The eigenvalue functions check their input (square; Hermitian within
 HERMITIAN_TOL) and hand the work to LAPACK through numpy.linalg; what they
 add is a deterministic output order that callers and printed output rely
 on.  integrate_periodic is adaptive composite Gauss-Legendre for integrals
-of smooth periodic functions over [0, 2*pi].
+of smooth periodic functions over [0, 2*pi]; its integrand receives an
+array of nodes and returns the values at all of them.
 """
+
+import functools
 
 import numpy as np
 
@@ -58,26 +61,36 @@ def complex_eigenvalues(m):
     return eigs[order]
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def integrate_periodic(f, tol=1e-12, order=16, max_doublings=20):
     """Mean value (1/2pi) * integral of f over [0, 2*pi].
 
     Composite Gauss-Legendre; the panel count doubles until two successive
-    estimates differ by less than tol/2.
+    estimates differ by less than tol/2.  f is called once per estimate
+    with the (panels, order) array of nodes and must return an array of
+    that shape, or one that broadcasts to it (a constant); any other shape
+    raises ValueError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
 
     def estimate(panels):
         edges = np.linspace(0.0, 2.0 * np.pi, panels + 1)
-        total = 0.0 + 0.0j
-        for left, right in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (right - left)
-            mid = 0.5 * (right + left)
-            theta = mid + half * nodes
-            vals = np.array([f(th) for th in theta], dtype=complex)
-            total += half * np.dot(weights, vals)
-        return total / (2.0 * np.pi)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        theta = mid[:, None] + half[:, None] * nodes
+        vals = np.broadcast_to(np.asarray(f(theta), dtype=complex), theta.shape)
+        # a dot product per panel: one gemv over all panels rounds differently
+        dots = np.matmul(vals[:, None, :], weights)[:, 0]
+        return np.sum(half * dots) / (2.0 * np.pi)
 
     prev = estimate(1)
     panels = 2

@@ -17,6 +17,7 @@ import numpy as np
 
 from .gc_core import build_polytope, contains
 from .novikov import as_fraction
+from .numerics import NonConvergenceError
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,9 @@ def _grad_hess_at_w(po, w, T0):
     E = po.exponent_matrix()  # (terms, nvars)
     c = po.coeff_vector(T0)  # (terms,)
     vals = c * np.exp(w @ E.T)  # (..., terms)
-    grad = vals @ E  # (..., nvars)
+    # a stack of vector-matrix products: a plain vals @ E on a 2-D batch is
+    # one gemm, whose rounding differs from the per-start product
+    grad = np.matmul(vals[..., None, :], E)[..., 0, :]  # (..., nvars)
     hess = np.einsum("...t,tj,tl->...jl", vals, E, E)
     return grad, hess
 
@@ -141,6 +144,10 @@ class SolverConfig:
             raise ValueError("T0 must lie in (0, 1)")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
+        if self.starts < 1:
+            raise ValueError("starts must be at least 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -174,82 +181,123 @@ def _wrap_angle(d):
     return np.mod(d + np.pi, 2.0 * np.pi) - np.pi
 
 
+def _solve_steps(hess, grad):
+    """Newton steps -H^{-1} g for a stack of systems, and a mask of the
+    systems whose own solve raises LinAlgError (their steps are zero).
+
+    A stacked solve raises if any one matrix is singular; the stack is then
+    halved until each singular matrix stands alone, so a system is stopped
+    exactly when its own solve would raise.
+    """
+    try:
+        steps = np.linalg.solve(hess, -grad[..., None])[..., 0]
+        return steps, np.zeros(len(hess), bool)
+    except np.linalg.LinAlgError:
+        if len(hess) == 1:
+            return np.zeros_like(grad), np.ones(1, bool)
+    mid = len(hess) // 2
+    s1, m1 = _solve_steps(hess[:mid], grad[:mid])
+    s2, m2 = _solve_steps(hess[mid:], grad[mid:])
+    return np.concatenate([s1, s2]), np.concatenate([m1, m2])
+
+
+def _normalized_det(hess):
+    """|det| of each Hessian with its rows scaled to unit max-norm, and the
+    mask of Hessians with a zero row (whose determinant is not taken)."""
+    row_norms = np.max(np.abs(hess), axis=-1)
+    zero_row = np.any(row_norms == 0, axis=-1)
+    scaled = hess / np.where(row_norms == 0, 1.0, row_norms)[..., None]
+    det = np.linalg.det(scaled)
+    # hypot rounds as abs() of one complex scalar does; the array np.abs of
+    # a complex array can differ from it in the last bit
+    return np.hypot(det.real, det.imag), zero_row
+
+
+def _newton(po, w, config):
+    """Run Newton from every row of w at once; return the rows that reach
+    max |grad| < newton_tol within max_iters iterations, in start order.
+
+    A start stops for good when its solve raises LinAlgError or its step
+    norm is not finite; steps longer than 20 are clamped to norm 20.
+    """
+    T0 = config.T0
+    active = np.arange(len(w))
+    converged = np.zeros(len(w), bool)
+    for _ in range(config.max_iters):
+        if not len(active):
+            break
+        grad, hess = _grad_hess_at_w(po, w[active], T0)
+        done = np.max(np.abs(grad), axis=1) < config.newton_tol
+        converged[active[done]] = True
+        active, grad, hess = active[~done], grad[~done], hess[~done]
+        step, singular = _solve_steps(hess, grad)
+        # the 1-D path of np.linalg.norm, so each start's norm is the one
+        # its own step would get
+        re, im = step.real, step.imag
+        norm = np.sqrt(
+            np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
+            + np.matmul(im[:, None, :], im[:, :, None])[:, 0, 0]
+        )
+        moving = ~singular & np.isfinite(norm)
+        long = moving & (norm > 20.0)
+        step[long] *= (20.0 / norm[long])[:, None]
+        active, step = active[moving], step[moving]
+        w[active] = w[active] + step
+    return w[converged]
+
+
 def find_critical_points(po, config=SolverConfig()):
     """Deduplicated Newton limit points of the log-gradient system.
 
     Starts are sampled in log-coordinates (uniform argument, log-modulus in
     [3 log T0, -3 log T0]) with per-start seeds; the returned list is sorted
-    by a canonical key and is deterministic given (seed, starts).
+    by a canonical key and is deterministic given (seed, starts).  All starts
+    are iterated together as one (starts, nvars) array; each keeps the
+    result it would have on its own.  Raises NonConvergenceError when no
+    start converges.
     """
     n = po.nvars
     T0 = config.T0
     lo = 3.0 * math.log(T0)
-    converged = []
+    w = np.empty((config.starts, n), dtype=complex)
     for start in range(config.starts):
         rng = np.random.default_rng([config.seed, start])
         re = rng.uniform(lo, -lo, size=n)
         im = rng.uniform(-np.pi, np.pi, size=n)
-        w = re + 1j * im
-        ok = False
-        for _ in range(config.max_iters):
-            grad, hess = _grad_hess_at_w(po, w, T0)
-            if np.max(np.abs(grad)) < config.newton_tol:
-                ok = True
-                break
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                break
-            norm = np.linalg.norm(step)
-            if not np.isfinite(norm):
-                break
-            if norm > 20.0:
-                step *= 20.0 / norm
-            w = w + step
-        if not ok:
-            continue
-        # reject degenerate limit points (row-normalized determinant)
-        _, hess = _grad_hess_at_w(po, w, T0)
-        row_norms = np.max(np.abs(hess), axis=1)
-        if np.any(row_norms == 0):
-            continue
-        det = np.linalg.det(hess / row_norms[:, None])
-        if abs(det) <= 1e-10:
-            continue
-        converged.append(_canonical_w(w))
-
-    # order-independent dedupe: sort by canonical key, then cluster
-    def key(w):
-        return tuple(
-            (round(v.real, 8), round(v.imag, 8)) for v in w
+        w[start] = re + 1j * im
+    w = _newton(po, w, config)
+    if not len(w):
+        raise NonConvergenceError(
+            f"no Newton start converged (starts={config.starts}, "
+            f"max_iters={config.max_iters})"
         )
 
-    converged.sort(key=key)
-    reps = []
-    for w in converged:
-        dup = False
-        for rep in reps:
-            diff = np.abs((w.real - rep.real) + 1j * _wrap_angle(w.imag - rep.imag))
-            if np.max(diff) < config.dedupe_tol * (1.0 + np.max(np.abs(rep))):
-                dup = True
-                break
-        if not dup:
-            reps.append(w)
+    # reject degenerate limit points (row-normalized determinant)
+    det, zero_row = _normalized_det(_grad_hess_at_w(po, w, T0)[1])
+    w = _canonical_w(w[~zero_row & ~(det <= 1e-10)])
 
-    out = []
-    for w in reps:
-        y = np.exp(w)
-        grad, hess = _grad_hess_at_w(po, w, T0)
-        row_norms = np.max(np.abs(hess), axis=1)
-        det = np.linalg.det(hess / row_norms[:, None])
-        out.append(
-            CriticalCandidate(
-                y=tuple(y),
-                residual=float(np.max(np.abs(grad))),
-                hessian_det=float(abs(det)),
-            )
-        )
-    return out
+    # order-independent dedupe: sort by canonical key (lexsort's primary
+    # key is its last row), then cluster
+    keys = np.round(np.stack([w.real, w.imag], axis=-1).reshape(len(w), -1), 8)
+    w = w[np.lexsort(keys.T[::-1])]
+    reps = np.empty_like(w)
+    count = 0
+    for cand in w:
+        rep = reps[:count]
+        diff = np.abs((cand.real - rep.real) + 1j * _wrap_angle(cand.imag - rep.imag))
+        scale = config.dedupe_tol * (1.0 + np.max(np.abs(rep), axis=1))
+        if not np.any(np.max(diff, axis=1) < scale):
+            reps[count] = cand
+            count += 1
+    reps = reps[:count]
+
+    grad, hess = _grad_hess_at_w(po, reps, T0)
+    det, _ = _normalized_det(hess)
+    residual = np.max(np.abs(grad), axis=1)
+    return [
+        CriticalCandidate(y=tuple(y), residual=float(r), hessian_det=float(d))
+        for y, r, d in zip(np.exp(reps), residual, det)
+    ]
 
 
 def verify_candidate(po, cand, T0_list=(0.45, 0.55), polytope=None):

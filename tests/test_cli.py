@@ -77,6 +77,20 @@ def test_critical_deterministic_and_verified(capsys):
     assert all(abs(h) > 1e-10 for h in doc["hessian_dets"])
 
 
+def test_critical_without_converged_start_exits_3(capsys):
+    code, out, err = run(capsys, "critical", "Fl3", "--starts", "1", "--seed", "11")
+    assert code == 3
+    assert out == ""
+    assert "no Newton start converged" in err
+
+
+def test_critical_zero_starts_exits_2(capsys):
+    code, out, err = run(capsys, "critical", "Fl3", "--starts", "0")
+    assert code == 2
+    assert out == ""
+    assert "starts" in err
+
+
 def test_qh_gr24_double_zero(capsys):
     code, out, _ = run(capsys, "qh", "Gr24", "--q", "1/16")
     assert code == 0

@@ -175,6 +175,16 @@ def test_open_gw_series_sums_to_exp(x):
     assert abs(total - np.exp(x)) < 1e-10 + tail
 
 
+@pytest.mark.parametrize("x", [0.3, 1.0 + 0.5j, -2.3 + 1.0j, 3.0j])
+def test_open_gw_integrals_sum_to_exp_degree_by_degree(x):
+    # sum_{k+l=m} (s x)^k/k! ((1-s) x)^l/l! = x^m/m! for every s, and the
+    # mean of 1 - cos(theta) is 1, so each degree m sums to x^m/m!
+    for m in range(26):
+        got = sum(open_gw_integral(k, m - k, x) for k in range(m + 1))
+        scale = abs(x) ** m / math.factorial(m)
+        assert abs(got - x**m / math.factorial(m)) <= 1e-13 * scale
+
+
 def test_pair_integral_closed_form():
     # sum over k, l equals 8/(3 pi) for one disk class
     total = floer.pair_series(K=30)

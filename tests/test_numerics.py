@@ -55,6 +55,15 @@ def test_integrate_periodic_trig():
     assert abs(integrate_periodic(lambda t: np.exp(3j * t))) < 1e-12
 
 
+def test_integrate_periodic_broadcasts_constant_integrand():
+    assert integrate_periodic(lambda t: 2.0) == 2.0
+
+
+def test_integrate_periodic_rejects_misshapen_integrand():
+    with pytest.raises(ValueError):
+        integrate_periodic(lambda t: np.ones(3))
+
+
 def test_integrate_periodic_rejects_bad_tol():
     with pytest.raises(ValueError):
         integrate_periodic(np.cos, tol=0.0)
