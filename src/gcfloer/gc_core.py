@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .novikov import as_fraction
 from .numerics import check_hermitian, hermitian_eigenvalues
@@ -256,6 +255,10 @@ def _raw_inequalities(shape, profile):
 def _facet_flags(ineqs, idx, profile):
     """LP redundancy test: an inequality is a facet iff dropping it enlarges
     the feasible set (its slack can be made negative subject to the rest)."""
+    # imported on first use: scipy.optimize takes about 0.5 s and 48 MB to
+    # load, which callers of the novikov and floer layers should not pay
+    from scipy.optimize import linprog
+
     rows = []
     consts = []
     for upper, lower in ineqs:

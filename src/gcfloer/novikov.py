@@ -5,6 +5,11 @@ exponents e_i and complex double coefficients a_i.  Exponents are kept exact
 (fractions.Fraction) because torsion exponents of Floer cohomology modules
 are the payload of the whole computation; coefficients only ever need to be
 distinguished from zero.
+
+Module decompositions come from fraction-free elimination over Lambda_0:
+each step scales the other rows by the unit part of the pivot and subtracts
+a Lambda_0 multiple of the pivot row, so no series is ever inverted and the
+cost does not depend on how small the exponent gaps are.
 """
 
 import math
@@ -128,7 +133,13 @@ class NovikovSeries:
         return NovikovSeries(tuple((e + exp, c) for e, c in self.terms), self.truncation)
 
     def invert(self):
-        """Multiplicative inverse; may leave Lambda_0 (negative exponents)."""
+        """Multiplicative inverse; may leave Lambda_0 (negative exponents).
+
+        The unit part is inverted by a geometric series of about
+        truncation / val(r) steps, where r is the unit part minus 1, so a
+        small exponent gap makes this slow (val(r) = 1e-12 is out of reach).
+        Module decompositions no longer call it.
+        """
         if not self.terms:
             raise ZeroDivisionError("cannot invert the zero series")
         v = self.terms[0][0]
@@ -216,17 +227,28 @@ class NovikovMatrix:
         return self.entries[0][0].truncation
 
     def __matmul__(self, other):
+        """Matrix product.
+
+        Products with an empty factor are skipped, and each entry is built
+        once from the remaining products' terms in k order.  That merges
+        equal exponents in the same order as adding the products one at a
+        time, so the result is the same unless a partial sum falls below
+        COEFF_PRUNE.
+        """
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        trunc = min(self.truncation, other.truncation)
         out = []
-        for i in range(self.rows):
-            row = []
+        for row in self.entries:
+            out_row = []
             for j in range(other.cols):
-                acc = NovikovSeries.zero(min(self.truncation, other.truncation))
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
+                terms = ()
+                for x, other_row in zip(row, other.entries):
+                    y = other_row[j]
+                    if x.terms and y.terms:
+                        terms += (x * y).terms
+                out_row.append(NovikovSeries(terms, trunc))
+            out.append(out_row)
         return NovikovMatrix(out)
 
     def is_zero(self, tol=0.0):
@@ -241,11 +263,20 @@ class NovikovMatrix:
 
 @dataclass
 class NovikovModuleDecomp:
-    """H = Lambda_0^free_rank + sum_i Lambda_0 / T^{e_i} Lambda_0."""
+    """H = Lambda_0^free_rank + sum_i Lambda_0 / T^{e_i} Lambda_0.
+
+    min_pivot_coefficient is the smallest |leading coefficient| of an
+    accepted pivot (inf when none was accepted) and
+    max_rejected_pivot_coefficient the largest one treated as zero (0.0 when
+    none was); both measure how close the answer came to flipping at
+    PIVOT_ZERO_TOL.  They are not part of to_dict().
+    """
 
     free_rank: int
     torsion_exponents: tuple
     warnings: list = field(default_factory=list)
+    min_pivot_coefficient: float = math.inf
+    max_rejected_pivot_coefficient: float = 0.0
 
     def lambda_rank(self):
         """Rank after inverting T (over the Novikov field)."""
@@ -259,17 +290,25 @@ class NovikovModuleDecomp:
 
 
 def _smith_valuations(d, warnings):
-    """Pivot valuations of d by Gaussian elimination over Lambda_0.
+    """Pivot valuations of d by fraction-free elimination over Lambda_0.
 
-    Lambda_0 is a valuation ring, so any minimum-valuation entry is a valid
-    pivot.  Returns the sorted list of pivot valuations (the valuations of
-    the invariant factors).
+    Lambda_0 is a valuation ring, so any minimum-valuation entry
+    p = c0 T^v u (u a unit with leading coefficient 1) is a valid pivot.
+    Every other active row i becomes u row_i - (a_{i,pj} / (c0 T^v)) row_pi.
+    Both factors lie in Lambda_0 and u is a unit, so each new row is u times
+    the row ordinary elimination gives: valuations and leading coefficients
+    are unchanged, but no series is inverted.  The pivot row and column then
+    retire, so the pivot column is never updated or read again.
+
+    Returns (sorted pivot valuations, smallest accepted |leading
+    coefficient|, largest |leading coefficient| treated as zero), the last
+    two inf and 0.0 when there is no such pivot.
     """
-    work = [[s for s in row] for row in d.entries]
-    nrows, ncols = len(work), len(work[0])
-    active_rows = list(range(nrows))
-    active_cols = list(range(ncols))
+    work = [list(row) for row in d.entries]
+    active_rows = list(range(d.rows))
+    active_cols = list(range(d.cols))
     pivots = []
+    min_accepted, max_rejected = math.inf, 0.0
     while active_rows and active_cols:
         best = None
         for i in active_rows:
@@ -281,34 +320,27 @@ def _smith_valuations(d, warnings):
             break
         v, pi, pj = best
         pivot = work[pi][pj]
-        if abs(pivot.leading_coefficient()) < PIVOT_ZERO_TOL:
+        c0 = pivot.leading_coefficient()
+        if abs(c0) < PIVOT_ZERO_TOL:
             warnings.append(
-                f"near-zero pivot coefficient {abs(pivot.leading_coefficient()):.3g} "
+                f"near-zero pivot coefficient {abs(c0):.3g} "
                 f"at ({pi},{pj}); treated as zero"
             )
+            max_rejected = max(max_rejected, abs(c0))
             work[pi][pj] = NovikovSeries.zero(pivot.truncation)
             continue
-        inv = pivot.invert()
+        min_accepted = min(min_accepted, abs(c0))
+        unit = pivot.shift(-v).scalar_mul(1.0 / c0)
+        active_rows.remove(pi)
+        active_cols.remove(pj)
         for i in active_rows:
-            if i == pi:
-                continue
-            factor = work[i][pj] * inv
+            factor = work[i][pj].shift(-v).scalar_mul(1.0 / c0)
             if factor.is_zero():
                 continue
             for j in active_cols:
-                work[i][j] = work[i][j] - factor * work[pi][j]
-        for j in active_cols:
-            if j == pj:
-                continue
-            factor = work[pi][j] * inv
-            if factor.is_zero():
-                continue
-            for i in active_rows:
-                work[i][j] = work[i][j] - factor * work[i][pj]
+                work[i][j] = unit * work[i][j] - factor * work[pi][j]
         pivots.append(v)
-        active_rows.remove(pi)
-        active_cols.remove(pj)
-    return sorted(pivots)
+    return sorted(pivots), min_accepted, max_rejected
 
 
 def module_presentation(d, two_step=False, ring="Lambda0", tol=1e-12):
@@ -331,7 +363,7 @@ def module_presentation(d, two_step=False, ring="Lambda0", tol=1e-12):
         sq = d @ d
         if not sq.is_zero(tol):
             raise ValueError("not a differential: d @ d != 0 within truncation")
-    vals = _smith_valuations(d, warnings)
+    vals, min_accepted, max_rejected = _smith_valuations(d, warnings)
     r = len(vals)
     torsion = tuple(sorted(v for v in vals if v > 0))
     for e in torsion:
@@ -346,5 +378,11 @@ def module_presentation(d, two_step=False, ring="Lambda0", tol=1e-12):
         if free < 0:
             raise ValueError("rank exceeds what a square-zero differential allows")
     if ring == "Lambda":
-        return NovikovModuleDecomp(free, (), warnings)
-    return NovikovModuleDecomp(free, torsion, warnings)
+        torsion = ()
+    return NovikovModuleDecomp(
+        free,
+        torsion,
+        warnings,
+        min_pivot_coefficient=min_accepted,
+        max_rejected_pivot_coefficient=max_rejected,
+    )

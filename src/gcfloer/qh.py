@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .numerics import complex_eigenvalues
 
@@ -156,6 +155,8 @@ def multiset_match(a, b, tol, allow_zero_padding=False):
     padded with zeros; a padded entry of a has index i >= len(a) (likewise
     for b).
     """
+    from scipy.optimize import linear_sum_assignment  # slow import; see gc_core
+
     a = [complex(v) for v in a]
     b = [complex(v) for v in b]
     if len(a) != len(b):

@@ -131,6 +131,15 @@ def test_floer_gr24_lambda_free_rank(capsys):
     assert doc["decomposition"]["free_rank"] == 4
 
 
+def test_floer_gr24_small_gap_finishes(capsys, deadline):
+    with deadline(5.0):
+        code, out, _ = run(capsys, "floer", "Gr24", "--lam", "1", "--t", "1/1000")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["decomposition"]["torsion"] == [[999, 1000], [999, 1000]]
+    assert doc["warnings"] == []
+
+
 def test_floer_pair(capsys):
     code, out, _ = run(capsys, "floer", "Gr24", "--lam", "1", "--pair")
     assert code == 0

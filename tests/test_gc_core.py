@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -327,3 +329,16 @@ def test_gc_map_interlaces(seed, halves):
             inner, outer = level(k), level(k + 1)
             for i in range(k):
                 assert outer[i] + 1e-9 >= inner[i] >= outer[i + 1] - 1e-9
+
+
+def test_package_import_defers_scipy_optimize():
+    # scipy.optimize is loaded by the first facet LP, not by the import,
+    # so Novikov-only callers do not pay its load time and memory
+    code = (
+        "import sys, gcfloer.cli; "
+        "assert 'scipy.optimize' not in sys.modules; "
+        "gcfloer.gc_core.build_polytope(gcfloer.gc_core.fl3_shape(), "
+        "gcfloer.gc_core.fl3_profile(1, 1)); "
+        "assert 'scipy.optimize' in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
