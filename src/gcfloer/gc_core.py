@@ -252,44 +252,46 @@ def _raw_inequalities(shape, profile):
     return ineqs
 
 
-def _facet_flags(ineqs, idx, profile):
-    """LP redundancy test: an inequality is a facet iff dropping it enlarges
-    the feasible set (its slack can be made negative subject to the rest)."""
-    # imported on first use: scipy.optimize takes about 0.5 s and 48 MB to
-    # load, which callers of the novikov and floer layers should not pay
-    from scipy.optimize import linprog
+def _facet_flags(ineqs):
+    """Exact facet test by longest paths in the bound graph.
 
-    rows = []
-    consts = []
+    Every bound upper >= lower reads x_a - x_b >= w, an edge a -> b of
+    weight w, where a constant side is the node None with x_None = 0 and
+    w = (constant lower side) - (constant upper side).  Bounds add along
+    paths, so an inequality is redundant iff some path a -> ... -> b that
+    avoids its own edge has weight >= w; Bellman-Ford finds the heaviest
+    such path in Fraction arithmetic.  This is exact: by Farkas' lemma on
+    a network matrix the implied bounds on x_a - x_b are exactly the path
+    weights.  The polytope is full-dimensional, so every cycle has negative
+    weight, simple paths suffice, and the irredundant inequalities are its
+    facets.
+    """
+    edges = []
     for upper, lower in ineqs:
-        tmp = GCInequality(upper, lower)
-        coeffs, const = tmp.affine(idx)
-        rows.append(coeffs)
-        consts.append(const)
-    rows = np.array(rows)
-    consts = np.array(consts)
-    bound = 2.0 * max(abs(float(v)) for v in profile.values) + 1.0
+        a, b, w = upper, lower, Fraction(0)
+        if _side_is_const(upper):
+            a, w = None, w - upper
+        if _side_is_const(lower):
+            b, w = None, w + lower
+        edges.append((a, b, w))
+    n_nodes = len({a for a, _, _ in edges} | {b for _, b, _ in edges})
     flags = []
-    for j in range(len(ineqs)):
-        mask = np.arange(len(ineqs)) != j
-        # minimize rows[j] . u  subject to  rows[m] . u >= -consts[m], m != j
-        res = linprog(
-            c=rows[j],
-            A_ub=-rows[mask],
-            b_ub=consts[mask],
-            bounds=[(-bound, bound)] * rows.shape[1],
-            method="highs",
-        )
-        if not res.success:
-            raise RuntimeError(f"facet LP failed: {res.message}")
-        flags.append(bool(res.fun + consts[j] < -1e-9))
+    for j, (a, b, w) in enumerate(edges):
+        heaviest = {a: Fraction(0)}
+        for _ in range(n_nodes - 1):
+            for m, (u, v, wm) in enumerate(edges):
+                if m == j or u not in heaviest:
+                    continue
+                if v not in heaviest or heaviest[u] + wm > heaviest[v]:
+                    heaviest[v] = heaviest[u] + wm
+        flags.append(not (b in heaviest and heaviest[b] >= w))
     return flags
 
 
 def build_polytope(shape, profile):
     idx = index_set(shape, profile)
     raw = _raw_inequalities(shape, profile)
-    flags = _facet_flags(raw, idx, profile)
+    flags = _facet_flags(raw)
     ineqs = tuple(
         GCInequality(upper, lower, facet=flag)
         for (upper, lower), flag in zip(raw, flags)

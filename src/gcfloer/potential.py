@@ -63,15 +63,13 @@ def _merge_terms(raw_terms):
     )
 
 
-def build_potential(shape, profile, facet_rule=True, polytope=None):
-    """One Laurent term per facet (or per raw inequality if facet_rule is
-    False, for comparison with the literal summation)."""
-    if polytope is None:
-        polytope = build_polytope(shape, profile)
+def build_potential(shape, profile):
+    """One Laurent term per facet of the Gelfand-Cetlin polytope."""
+    polytope = build_polytope(shape, profile)
     idx = polytope.index
     raw = []
     for ineq in polytope.inequalities:
-        if facet_rule and not ineq.facet:
+        if not ineq.facet:
             continue
         t_exp = Fraction(0)
         y_exp = [0] * len(idx)

@@ -155,7 +155,9 @@ def multiset_match(a, b, tol, allow_zero_padding=False):
     padded with zeros; a padded entry of a has index i >= len(a) (likewise
     for b).
     """
-    from scipy.optimize import linear_sum_assignment  # slow import; see gc_core
+    # imported on first use: scipy.optimize takes about 0.5 s and 48 MB to
+    # load, which callers that never match multisets should not pay
+    from scipy.optimize import linear_sum_assignment
 
     a = [complex(v) for v in a]
     b = [complex(v) for v in b]

@@ -138,6 +138,38 @@ def test_facets_match_exact_oracle(space, shape, profile):
     assert got == _facet_oracle(polytope)
 
 
+# every step set of ambient 3 and 4, and Gr(2,5); the oracle's cost grows
+# fast with the dimension (F(2,3;5) takes about 8 s a case)
+_ORACLE_SHAPES = [
+    gc_core.FlagShape(steps, n)
+    for n in (3, 4)
+    for r in range(1, n)
+    for steps in itertools.combinations(range(1, n), r)
+] + [grassmannian_shape(2, 5)]
+
+
+@st.composite
+def _shapes_and_profiles(draw):
+    shape = draw(st.sampled_from(_ORACLE_SHAPES))
+    values = draw(
+        st.sets(
+            st.builds(Fraction, st.integers(-12, 12), st.integers(1, 3)),
+            min_size=len(shape.steps) + 1,
+            max_size=len(shape.steps) + 1,
+        )
+    )
+    blocks = sorted(values, reverse=True)
+    return shape, gc_core.EigenProfile.from_blocks(shape, blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_shapes_and_profiles())
+def test_facet_flags_match_exact_oracle_on_random_profiles(case):
+    polytope = build_polytope(*case)
+    got = [iq.facet for iq in polytope.inequalities]
+    assert got == _facet_oracle(polytope)
+
+
 def test_inequality_and_facet_counts():
     counts = {}
     for space, shape, profile in spaces():
@@ -332,13 +364,18 @@ def test_gc_map_interlaces(seed, halves):
 
 
 def test_package_import_defers_scipy_optimize():
-    # scipy.optimize is loaded by the first facet LP, not by the import,
-    # so Novikov-only callers do not pay its load time and memory
+    # facets are decided by exact path arithmetic, so only the optimal
+    # matching of qh.multiset_match pays the scipy.optimize load
     code = (
         "import sys, gcfloer.cli; "
+        "from gcfloer import gc_core, potential, qh; "
+        "from gcfloer.spaces import SPACES, UNIT; "
         "assert 'scipy.optimize' not in sys.modules; "
-        "gcfloer.gc_core.build_polytope(gcfloer.gc_core.fl3_shape(), "
-        "gcfloer.gc_core.fl3_profile(1, 1)); "
+        "[(gc_core.build_polytope(s.shape, s.profile(UNIT)), "
+        "potential.build_potential(s.shape, s.profile(UNIT))) "
+        "for s in SPACES.values()]; "
+        "assert 'scipy.optimize' not in sys.modules; "
+        "qh.multiset_match([1, 2], [2, 1], 1e-9); "
         "assert 'scipy.optimize' in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

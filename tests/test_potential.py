@@ -51,9 +51,6 @@ def test_term_counts_and_facet_rule():
     assert len(fl3_potential().terms) == 6
     assert len(gr24_potential().terms) == 6
     assert len(gr25_potential().terms) == 9
-    # without the facet rule every raw inequality contributes
-    po = build_potential(grassmannian_shape(2, 5), gr25_profile(1), facet_rule=False)
-    assert len(po.terms) == 12
 
 
 def test_fl3_terms_explicitly():
