@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -82,7 +83,7 @@ def cmd_polytope(args):
             print("error: point is not in the polytope", file=sys.stderr)
             return 2
         diamonds = gc_core.detect_diamonds(shape, profile, point)
-        fiber = gc_core.classify_fiber(args.space, polytope, point)
+        fiber = gc_core.classify_fiber(polytope, point)
     doc = gc_core.polytope_to_json(polytope, point=point, fiber=fiber)
     doc["space"] = args.space
     doc["facet_count"] = sum(1 for iq in polytope.inequalities if iq.facet)
@@ -100,7 +101,7 @@ def cmd_potential(args):
     po = potential.build_potential(space.shape, space.profile(args))
     doc = {
         "space": args.space,
-        "variables": [list(p) for p in po.index.pairs],
+        "variables": [list(p) for p in po.index],
         "terms": [
             {
                 "coeff": _complex_pair(t.coeff),
@@ -180,6 +181,10 @@ def cmd_qh(args):
 
 
 def cmd_match(args):
+    if not 0 < args.T0 < 1:
+        raise ValueError("T0 must lie in (0, 1)")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError("tol must be a positive finite number")
     T0 = float(args.T0)
     values, eigs, matched, pairing = SPACES[args.space].match_c1(args, T0, args.tol)
     doc = {
@@ -207,7 +212,7 @@ def cmd_floer(args):
         d = floer.m1_fl3(args.l1, args.l2)
         label = f"m1_fl3({args.l1}, {args.l2})"
     elif args.pair:
-        d = floer.delta_pair_gr24(args.lam, from_series=False)
+        d = floer.delta_pair_gr24(args.lam)
         label = f"delta_pair_gr24({args.lam})"
     else:
         x = complex(float(args.x_re), float(args.x_im))

@@ -15,8 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .novikov import NovikovMatrix, NovikovSeries, as_fraction, module_presentation
+from .novikov import NovikovMatrix, NovikovSeries, as_fraction
 from .numerics import integrate_periodic
+
+WINDING_SAMPLES = 4000  # points of R + {inf} on which a disk's winding is counted
+PROJECTIVE_TOL = 1e-9  # relative distance below which two projective points agree
 
 # ---------------------------------------------------------------------------
 # disk classes and parametrizations
@@ -176,9 +179,9 @@ class DiskMapGr:
     def projective_polys(self):
         return [(2.0 * self.lam, self.plucker_polys())]
 
-    def winding_number(self, samples=4000):
+    def winding_number(self):
         """Winding of det(F(x)/scale) = (x - c)/(x - cbar) along R + {inf}."""
-        phis = np.linspace(-np.pi, np.pi, samples, endpoint=False)
+        phis = np.linspace(-np.pi, np.pi, WINDING_SAMPLES, endpoint=False)
         xs = np.tan(phis / 2.0)
         vals = (xs - self.c) / (xs - np.conj(self.c))
         args = np.unwrap(np.angle(vals))
@@ -244,16 +247,11 @@ def _fs_area_disk(zeta_polys, order=64):
     return float(np.sum(W * K)) / np.pi
 
 
-def disk_area(disk, weights=None, order=64):
+def disk_area(disk, order=64):
     """Symplectic area of the disk (restriction to the upper half plane),
     as the weighted sum of Fubini-Study areas of its projective factors."""
-    factors = disk.projective_polys()
-    if weights is not None:
-        if len(weights) != len(factors):
-            raise ValueError("one weight per projective factor")
-        factors = [(w, polys) for w, (_, polys) in zip(weights, factors)]
     total = 0.0
-    for weight, polys in factors:
+    for weight, polys in disk.projective_polys():
         zeta_polys = [_cayley_poly(c) for c in polys]
         total += weight * _fs_area_disk(zeta_polys, order)
     return total
@@ -319,7 +317,7 @@ def plucker_of_frame(Z):
     )
 
 
-def projective_equal(p, q, tol=1e-9):
+def projective_equal(p, q):
     p = np.asarray(p, dtype=complex).ravel()
     q = np.asarray(q, dtype=complex).ravel()
     i = int(np.argmax(np.abs(p)))
@@ -327,14 +325,14 @@ def projective_equal(p, q, tol=1e-9):
         return False
     p = p / p[i]
     q = q / q[i]
-    return bool(np.max(np.abs(p - q)) < tol * max(1.0, np.max(np.abs(p))))
+    return bool(np.max(np.abs(p - q)) < PROJECTIVE_TOL * max(1.0, np.max(np.abs(p))))
 
 
 # ---------------------------------------------------------------------------
 # disk-count integrals
 
 
-def open_gw_integral(k, l, x, tol=1e-12):
+def open_gw_integral(k, l, x):
     """The (k, l) disk-count integral
     int_0^{2pi} (1/k!) ((theta/2pi) x)^k (1/l!) ((1 - theta/2pi) x)^l
     (1 - cos theta) dtheta / 2pi."""
@@ -350,21 +348,21 @@ def open_gw_integral(k, l, x, tol=1e-12):
             (s * x) ** k / kf * ((1.0 - s) * x) ** l / lf * (1.0 - np.cos(theta))
         )
 
-    return integrate_periodic(f, tol)
+    return integrate_periodic(f)
 
 
-def open_gw_series(x, K=40, tol=1e-12):
+def open_gw_series(x, K=40):
     """sum_{k + l <= K} open_gw_integral(k, l, x); equals e^x up to the
     reported tail bound |x|^{K+1}/(K+1)!."""
     total = 0.0 + 0.0j
     for k in range(K + 1):
         for l in range(K + 1 - k):
-            total += open_gw_integral(k, l, x, tol)
+            total += open_gw_integral(k, l, x)
     tail = abs(x) ** (K + 1) / math.factorial(K + 1)
     return total, tail
 
 
-def pair_integral(k, l, tol=1e-12):
+def pair_integral(k, l):
     """The (k, l) integral of the (b, -b) pair differential at b = i pi/2:
     int (1/k!) (i theta/4)^k (1/l!) (i (theta/4 - pi/2))^l
     (1 - cos theta) dtheta / 2pi."""
@@ -380,15 +378,15 @@ def pair_integral(k, l, tol=1e-12):
             * (1.0 - np.cos(theta))
         )
 
-    return integrate_periodic(f, tol)
+    return integrate_periodic(f)
 
 
-def pair_series(K=40, tol=1e-12):
+def pair_series(K=40):
     """sum_{k + l <= K} pair_integral(k, l); equals 8/(3 pi) per disk class."""
     total = 0.0 + 0.0j
     for k in range(K + 1):
         for l in range(K + 1 - k):
-            total += pair_integral(k, l, tol)
+            total += pair_integral(k, l)
     return total
 
 
@@ -396,7 +394,7 @@ def pair_series(K=40, tol=1e-12):
 # Floer differentials and modules
 
 
-def m1_fl3(l1, l2, truncation=10):
+def m1_fl3(l1, l2):
     """Floer differential of the S^3 fiber on the basis (e0, e3):
     e3 -> (T^{l1} + T^{l2}) e0 (the + sign convention is fixed; the module
     decomposition does not depend on it)."""
@@ -404,15 +402,16 @@ def m1_fl3(l1, l2, truncation=10):
     l2 = as_fraction(l2)
     if l1 <= 0 or l2 <= 0:
         raise ValueError("l1, l2 must be positive")
-    f = NovikovSeries(((l1, 1.0), (l2, 1.0)), truncation)
-    z = NovikovSeries.zero(truncation)
+    f = NovikovSeries(((l1, 1.0), (l2, 1.0)))
+    z = NovikovSeries.zero()
     return NovikovMatrix([[z, f], [z, z]])
 
 
-def m1b_gr24(lam, t, x, truncation=10):
+def m1b_gr24(lam, t, x):
     """Deformed Floer differential of the U(2) fiber L_t on the basis
     (e0, e1, e3, e1 e3): e3 -> f e0 and e1 e3 -> f e1 with
-    f = e^x T^{lam + t} + e^{-x} T^{lam - t}."""
+    f = e^x T^{lam + t} + e^{-x} T^{lam - t}; raises ValueError when e^x or
+    e^{-x} overflows."""
     lam = as_fraction(lam)
     t = as_fraction(t)
     if not -lam < t < lam:
@@ -420,10 +419,12 @@ def m1b_gr24(lam, t, x, truncation=10):
     if isinstance(x, BoundingCochain):
         x = x.x
     x = complex(x)
-    f = NovikovSeries(
-        ((lam + t, np.exp(x)), (lam - t, np.exp(-x))), truncation
-    )
-    z = NovikovSeries.zero(truncation)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hol = np.exp(x), np.exp(-x)
+    if not all(np.isfinite(h) for h in hol):
+        raise ValueError(f"holonomy e^(+-x) overflows at x = {x}")
+    f = NovikovSeries(((lam + t, hol[0]), (lam - t, hol[1])))
+    z = NovikovSeries.zero()
     return NovikovMatrix(
         [
             [z, z, f, z],
@@ -434,28 +435,20 @@ def m1b_gr24(lam, t, x, truncation=10):
     )
 
 
-def delta_pair_gr24(lam, from_series=True, K=40, truncation=10):
+def delta_pair_gr24(lam):
     """Floer differential of the pair (L_0, +b), (L_0, -b) at b = i pi/2 e1:
     e3 -> (16/3pi) T^lam e0 and e1 e3 -> (32/3pi) T^lam e1.
 
-    With from_series=True the 16/(3 pi) coefficient is produced by the
-    disk-count quadrature series (summed over both disk classes) and the
-    closed form is asserted within 1e-8."""
+    The coefficients are the closed forms; 2 pair_series(K), the disk-count
+    quadrature summed over both disk classes, reproduces 16/(3 pi), which
+    verify check 06 holds to 1e-9."""
     lam = as_fraction(lam)
     if lam <= 0:
         raise ValueError("lam must be positive")
-    closed = 16.0 / (3.0 * np.pi)
-    if from_series:
-        coeff = 2.0 * pair_series(K)
-        if abs(coeff - closed) > 1e-8:
-            raise RuntimeError(
-                f"quadrature series {coeff} disagrees with 16/(3 pi)"
-            )
-    else:
-        coeff = closed
-    f1 = NovikovSeries(((lam, coeff),), truncation)
-    f2 = NovikovSeries(((lam, 2.0 * coeff),), truncation)
-    z = NovikovSeries.zero(truncation)
+    coeff = 16.0 / (3.0 * np.pi)
+    f1 = NovikovSeries(((lam, coeff),))
+    f2 = NovikovSeries(((lam, 2.0 * coeff),))
+    z = NovikovSeries.zero()
     return NovikovMatrix(
         [
             [z, z, f1, z],
@@ -464,11 +457,6 @@ def delta_pair_gr24(lam, from_series=True, K=40, truncation=10):
             [z, z, z, z],
         ]
     )
-
-
-def floer_module(d, ring="Lambda0"):
-    """Module decomposition of the homology of a Floer differential."""
-    return module_presentation(d, ring=ring)
 
 
 def displacement_energy_bound(lam, t):

@@ -17,6 +17,8 @@ import numpy as np
 from .novikov import as_fraction
 from .numerics import check_hermitian, hermitian_eigenvalues
 
+GC_TOL = 1e-8  # gap at which two pattern values, or a point and a facet, count as equal
+
 
 # ---------------------------------------------------------------------------
 # shapes and profiles
@@ -129,39 +131,26 @@ def is_constant_entry(shape, profile, i, k):
     return profile.value(i) == profile.value(i + n - k)
 
 
-@dataclass(frozen=True)
-class GCIndexSet:
-    pairs: tuple  # ((i, k), ...) ordered by level k descending, i ascending
-
-    def position(self, pair):
-        return self.pairs.index(tuple(pair))
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
 def index_set(shape, profile):
+    """The non-constant entries as a tuple of (i, k) pairs, ordered by level
+    k descending, then i ascending."""
     profile.validate(shape)
     n = shape.ambient
-    pairs = [
+    pairs = tuple(
         (i, k)
         for k in range(n - 1, 0, -1)
         for i in range(1, k + 1)
         if not is_constant_entry(shape, profile, i, k)
-    ]
-    result = GCIndexSet(tuple(pairs))
-    if len(result) != shape.complex_dim:
+    )
+    if len(pairs) != shape.complex_dim:
         raise ValueError("non-constant entry count does not match the dimension")
-    return result
+    return pairs
 
 
 @dataclass(frozen=True)
 class GCPoint:
     values: tuple  # floats, parallel to the index set ordering
-    index: GCIndexSet
+    index: tuple  # the index set: (i, k) pairs
 
     def __post_init__(self):
         if len(self.values) != len(self.index):
@@ -169,7 +158,7 @@ class GCPoint:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     def entry(self, i, k):
-        return self.values[self.index.position((i, k))]
+        return self.values[self.index.index((i, k))]
 
     def as_array(self):
         return np.array(self.values)
@@ -204,7 +193,7 @@ class GCInequality:
             if _side_is_const(side):
                 const += sgn * float(side)
             else:
-                coeffs[idx.position(side)] += sgn
+                coeffs[idx.index(side)] += sgn
         return coeffs, const
 
     def label(self):
@@ -221,7 +210,7 @@ class GCInequality:
 class GCPolytope:
     shape: FlagShape
     profile: EigenProfile
-    index: GCIndexSet
+    index: tuple  # the index set: (i, k) pairs
     inequalities: tuple
 
 
@@ -299,7 +288,7 @@ def build_polytope(shape, profile):
     return GCPolytope(shape, profile, idx, ineqs)
 
 
-def contains(polytope, u, tol=1e-8):
+def contains(polytope, u):
     """Membership test; returns (bool, list of active inequality indices)."""
     if not isinstance(u, GCPoint):
         u = GCPoint(tuple(u), polytope.index)
@@ -309,16 +298,16 @@ def contains(polytope, u, tol=1e-8):
     for j, ineq in enumerate(polytope.inequalities):
         coeffs, const = ineq.affine(polytope.index)
         slack = float(coeffs @ vec + const)
-        if slack < -tol:
+        if slack < -GC_TOL:
             inside = False
-        elif abs(slack) <= tol:
+        elif abs(slack) <= GC_TOL:
             active.append(j)
     return inside, active
 
 
-def face_dimension(polytope, u, tol=1e-8):
+def face_dimension(polytope, u):
     """Dimension of the face whose relative interior contains u."""
-    inside, active = contains(polytope, u, tol)
+    inside, active = contains(polytope, u)
     if not inside:
         raise ValueError("point is not in the polytope")
     if not active:
@@ -343,7 +332,7 @@ def _full_table(shape, profile, u):
     return table
 
 
-def detect_diamonds(shape, profile, u, tol=1e-8):
+def detect_diamonds(shape, profile, u):
     """Diamond degeneracies (k, i): lambda_i^{(k)} = lambda_{i+1}^{(k)} with
     the entries directly above (i+1, k+1) and below (i, k-1) equal too."""
     if not isinstance(u, GCPoint):
@@ -359,7 +348,7 @@ def detect_diamonds(shape, profile, u, tol=1e-8):
             if all(is_constant_entry(shape, profile, ci, ck) for ci, ck in corners):
                 continue
             v = table[(i, k)]
-            if all(abs(table[c] - v) <= tol for c in corners[1:]):
+            if all(abs(table[c] - v) <= GC_TOL for c in corners[1:]):
                 found.append((k, i))
     return found
 
@@ -368,7 +357,7 @@ def detect_diamonds(shape, profile, u, tol=1e-8):
 # the moment map
 
 
-def gc_map(x, shape, profile, tol=1e-8):
+def gc_map(x, shape, profile):
     """Gelfand-Cetlin map: eigenvalues of upper-left submatrices of x."""
     x = check_hermitian(x)
     n = shape.ambient
@@ -377,7 +366,7 @@ def gc_map(x, shape, profile, tol=1e-8):
     spec = hermitian_eigenvalues(x)
     target = [float(v) for v in profile.values]
     for got, want in zip(spec, target):
-        if abs(got - want) > tol:
+        if abs(got - want) > GC_TOL:
             raise ValueError(
                 f"matrix is not on the orbit: eigenvalue {got:.12g} != {want:.12g}"
             )
@@ -392,7 +381,7 @@ def gc_map(x, shape, profile, tol=1e-8):
             if is_constant_entry(shape, profile, i, k):
                 want = float(profile.value(i))
                 got = level_eigs[k][i - 1]
-                if abs(got - want) > tol:
+                if abs(got - want) > GC_TOL:
                     raise ValueError(
                         f"constant entry ({i},{k}) is {got:.12g}, expected {want:.12g}"
                     )
@@ -483,24 +472,23 @@ class FiberDescriptor:
     annotations: tuple = ()
 
 
-def classify_fiber(space, polytope, u, tol=1e-8):
+def classify_fiber(polytope, u):
     """Classify the Gelfand-Cetlin fiber over u in a built polytope.
 
-    space names the polytope's space ("Fl3", "Gr24" or "Gr25") and selects
-    the rows of the stratum table.  Strata beyond the hard-coded table, and
-    every non-torus fiber of a space the table does not name, come back as
-    unknown-nonsmooth.
+    The polytope's shape selects the rows of the stratum table: Fl(3),
+    Gr(2,4) or Gr(2,5).  Strata beyond the hard-coded table, and every
+    non-torus fiber of any other shape, come back as unknown-nonsmooth.
     """
     shape, profile = polytope.shape, polytope.profile
     if not isinstance(u, GCPoint):
         u = GCPoint(tuple(u), polytope.index)
-    inside, _active = contains(polytope, u, tol)
+    inside, _active = contains(polytope, u)
     if not inside:
         raise ValueError("point is not in the polytope")
     n_dim = len(polytope.index)
-    diamonds = detect_diamonds(shape, profile, u, tol)
+    diamonds = detect_diamonds(shape, profile, u)
     if not diamonds:
-        dim = face_dimension(polytope, u, tol)
+        dim = face_dimension(polytope, u)
         return FiberDescriptor("torus", dim, dim == n_dim)
 
     vals = u.values
@@ -508,43 +496,49 @@ def classify_fiber(space, polytope, u, tol=1e-8):
     vmin = float(min(profile.values))
     mid_block = (vmax + vmin) / 2.0
 
-    if space == "Fl3" and diamonds == [(2, 1)]:
+    if shape == fl3_shape() and diamonds == [(2, 1)]:
         center = float(profile.value(2))
-        if all(abs(v - center) <= tol for v in vals):
+        if all(abs(v - center) <= GC_TOL for v in vals):
             return FiberDescriptor("S3", 3, True)
-    if space == "Gr24" and diamonds == [(2, 1)]:
+    if shape == grassmannian_shape(2, 4) and diamonds == [(2, 1)]:
         t = vals[0]
-        if all(abs(v - t) <= tol for v in vals) and vmin + tol < t < vmax - tol:
-            ann = () if abs(t - mid_block) <= tol else ("displaceable",)
+        if (
+            all(abs(v - t) <= GC_TOL for v in vals)
+            and vmin + GC_TOL < t < vmax - GC_TOL
+        ):
+            ann = () if abs(t - mid_block) <= GC_TOL else ("displaceable",)
             return FiberDescriptor("U2", 4, True, ann)
-    if space == "Gr25":
+    if shape == grassmannian_shape(2, 5):
         lamf = vmax
         ann = ("displaceable", "HF vanishes over Lambda")
         if diamonds == [(2, 1)]:
             # L1(s1, s2, t): u = (s2, s1, t, t, t, t), lam > s1 > s2 > t > 0
             s2v, s1v, t = vals[0], vals[1], vals[2]
             if (
-                all(abs(v - t) <= tol for v in vals[2:])
-                and lamf - tol > s1v > s2v + tol
-                and s2v > t + tol
-                and t > tol
+                all(abs(v - t) <= GC_TOL for v in vals[2:])
+                and lamf - GC_TOL > s1v > s2v + GC_TOL
+                and s2v > t + GC_TOL
+                and t > GC_TOL
             ):
                 return FiberDescriptor("U2xT2", 6, True, ann)
         if diamonds == [(3, 1)]:
             # L2(s1, s2, t): u = (t, t, t, t, s1, s2), 0 < s1 < s2 < t < lam
             t, s1v, s2v = vals[0], vals[4], vals[5]
             if (
-                all(abs(v - t) <= tol for v in vals[:4])
-                and tol < s1v < s2v - tol
-                and s2v < t - tol
-                and t < lamf - tol
+                all(abs(v - t) <= GC_TOL for v in vals[:4])
+                and GC_TOL < s1v < s2v - GC_TOL
+                and s2v < t - GC_TOL
+                and t < lamf - GC_TOL
             ):
                 return FiberDescriptor("U2xT2", 6, True, ann)
         if sorted(diamonds) == [(2, 1), (3, 1)]:
             # all entries equal t in (0, lam): a U(2) fiber of dimension 4,
             # isotropic but not Lagrangian.
             t = vals[0]
-            if all(abs(v - t) <= tol for v in vals) and tol < t < lamf - tol:
+            if (
+                all(abs(v - t) <= GC_TOL for v in vals)
+                and GC_TOL < t < lamf - GC_TOL
+            ):
                 return FiberDescriptor("U2", 4, False)
     return FiberDescriptor("unknown-nonsmooth", -1, False)
 
@@ -570,7 +564,7 @@ def polytope_to_json(polytope, point=None, fiber=None):
     doc = {
         "shape": {"steps": list(polytope.shape.steps), "ambient": polytope.shape.ambient},
         "profile": [[v.numerator, v.denominator] for v in polytope.profile.values],
-        "index_set": [list(p) for p in polytope.index.pairs],
+        "index_set": [list(p) for p in polytope.index],
         "inequalities": [
             {
                 "upper": _side_to_json(iq.upper),
@@ -595,7 +589,7 @@ def polytope_to_json(polytope, point=None, fiber=None):
 def polytope_from_json(doc):
     shape = FlagShape(tuple(doc["shape"]["steps"]), doc["shape"]["ambient"])
     profile = EigenProfile(tuple(Fraction(n, d) for n, d in doc["profile"]))
-    idx = GCIndexSet(tuple(tuple(p) for p in doc["index_set"]))
+    idx = tuple(tuple(p) for p in doc["index_set"])
     ineqs = tuple(
         GCInequality(
             _side_from_json(iq["upper"]),

@@ -19,6 +19,7 @@ from fractions import Fraction
 DEFAULT_TRUNCATION = Fraction(10)
 COEFF_PRUNE = 1e-14
 PIVOT_ZERO_TOL = 1e-10
+SQUARE_ZERO_TOL = 1e-12  # largest |coefficient| of d @ d that still counts as d^2 = 0
 
 
 def as_fraction(x):
@@ -343,11 +344,12 @@ def _smith_valuations(d, warnings):
     return sorted(pivots), min_accepted, max_rejected
 
 
-def module_presentation(d, two_step=False, ring="Lambda0", tol=1e-12):
+def module_presentation(d, two_step=False, ring="Lambda0"):
     """Decompose the homology of d over the Novikov ring.
 
-    With two_step=False, d must be a square matrix with d @ d = 0 and the
-    result is ker(d)/im(d).  With two_step=True, d is an arbitrary
+    With two_step=False, d must be a square matrix with d @ d = 0 (every
+    coefficient of d @ d at most SQUARE_ZERO_TOL) and the result is
+    ker(d)/im(d).  With two_step=True, d is an arbitrary
     presentation matrix of a two-step complex and the result is
     ker(d) + coker(d).  Either way the answer is a free part plus torsion
     pieces Lambda_0 / T^{e} Lambda_0 read off from the pivot valuations.
@@ -361,7 +363,7 @@ def module_presentation(d, two_step=False, ring="Lambda0", tol=1e-12):
         if d.rows != d.cols:
             raise ValueError("a differential must be square (or pass two_step=True)")
         sq = d @ d
-        if not sq.is_zero(tol):
+        if not sq.is_zero(SQUARE_ZERO_TOL):
             raise ValueError("not a differential: d @ d != 0 within truncation")
     vals, min_accepted, max_rejected = _smith_valuations(d, warnings)
     r = len(vals)

@@ -8,12 +8,29 @@ of smooth periodic functions over [0, 2*pi]; its integrand receives an
 array of nodes and returns the values at all of them.
 """
 
-import functools
-
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
+HERMITIAN_TOL = 1e-12  # largest relative defect |m - m*| a Hermitian input may have
 SORT_RESOLUTION = 1e-9  # relative grid on which eigenvalue sort keys are compared
+
+# the 16-point Gauss-Legendre rule on [-1, 1] that integrate_periodic applies
+# on each panel: the (node, weight) pairs of the positive half, bit for bit
+# those of np.polynomial.legendre.leggauss(16), which is symmetric.  Written
+# out so that importing this module does not import numpy.polynomial (2 MB
+# and a slower cold start); read-only, so no caller can disturb the rule.
+_HALF_RULE = np.array([
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+])
+_NODES = np.concatenate((-_HALF_RULE[::-1, 0], _HALF_RULE[:, 0]))
+_WEIGHTS = np.concatenate((_HALF_RULE[::-1, 1], _HALF_RULE[:, 1]))
+_NODES.flags.writeable = _WEIGHTS.flags.writeable = False
 
 
 class NonConvergenceError(RuntimeError):
@@ -34,11 +51,11 @@ def _as_square_complex(m):
     return a
 
 
-def check_hermitian(m, tol=HERMITIAN_TOL):
+def check_hermitian(m):
     a = _as_square_complex(m)
     scale = max(1.0, np.abs(a).max())
     defect = np.abs(a - a.conj().T).max()
-    if defect > tol * scale:
+    if defect > HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3g})")
     return a
 
@@ -61,35 +78,27 @@ def complex_eigenvalues(m):
     return eigs[order]
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(order):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def integrate_periodic(f, tol=1e-12, order=16, max_doublings=20):
+def integrate_periodic(f, tol=1e-12, max_doublings=20):
     """Mean value (1/2pi) * integral of f over [0, 2*pi].
 
-    Composite Gauss-Legendre; the panel count doubles until two successive
-    estimates differ by less than tol/2.  f is called once per estimate
-    with the (panels, order) array of nodes and must return an array of
-    that shape, or one that broadcasts to it (a constant); any other shape
+    Composite 16-point Gauss-Legendre; the panel count doubles until two
+    successive estimates differ by less than tol/2, and NonConvergenceError
+    is raised after max_doublings doublings.  f is called once per estimate
+    with the (panels, 16) array of nodes and must return an array of that
+    shape, or one that broadcasts to it (a constant); any other shape
     raises ValueError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    nodes, weights = _gauss_legendre(order)
 
     def estimate(panels):
         edges = np.linspace(0.0, 2.0 * np.pi, panels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
-        theta = mid[:, None] + half[:, None] * nodes
+        theta = mid[:, None] + half[:, None] * _NODES
         vals = np.broadcast_to(np.asarray(f(theta), dtype=complex), theta.shape)
         # a dot product per panel: one gemv over all panels rounds differently
-        dots = np.matmul(vals[:, None, :], weights)[:, 0]
+        dots = np.matmul(vals[:, None, :], _WEIGHTS)[:, 0]
         return np.sum(half * dots) / (2.0 * np.pi)
 
     prev = estimate(1)

@@ -19,6 +19,12 @@ from .gc_core import build_polytope, contains
 from .novikov import as_fraction
 from .numerics import NonConvergenceError
 
+NEWTON_TOL = 1e-10  # a Newton start has converged once max |grad| < NEWTON_TOL
+MAX_ITERS = 100  # Newton iterations a start gets before it is dropped
+DEDUPE_TOL = 1e-6  # relative distance below which two limit points are one
+DEGENERATE_DET = 1e-10  # a Hessian is degenerate if its row-normalized |det| <= this
+VERIFY_T0 = (0.45, 0.55)  # base values at which verify_candidate checks and fits
+
 
 @dataclass(frozen=True)
 class LaurentTerm:
@@ -35,7 +41,7 @@ class LaurentTerm:
 @dataclass(frozen=True)
 class LaurentPoly:
     terms: tuple
-    index: object  # GCIndexSet labelling the variables
+    index: tuple  # the index set: (i, k) pairs labelling the variables
 
     @property
     def nvars(self):
@@ -77,7 +83,7 @@ def build_potential(shape, profile):
             if isinstance(side, Fraction):
                 t_exp += sgn * side
             else:
-                y_exp[idx.position(side)] += sgn
+                y_exp[idx.index(side)] += sgn
         raw.append((1.0 + 0.0j, t_exp, tuple(y_exp)))
     return LaurentPoly(_merge_terms(raw), idx)
 
@@ -133,19 +139,12 @@ class SolverConfig:
     T0: float = 0.5
     starts: int = 2000
     seed: int = 0
-    newton_tol: float = 1e-10
-    dedupe_tol: float = 1e-6
-    max_iters: int = 100
 
     def __post_init__(self):
         if not 0 < self.T0 < 1:
             raise ValueError("T0 must lie in (0, 1)")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -201,31 +200,32 @@ def _solve_steps(hess, grad):
 
 def _normalized_det(hess):
     """|det| of each Hessian with its rows scaled to unit max-norm, and the
-    mask of Hessians with a zero row (whose determinant is not taken)."""
+    mask of degenerate Hessians: those with a zero row (whose determinant
+    is not taken) or a |det| at most DEGENERATE_DET."""
     row_norms = np.max(np.abs(hess), axis=-1)
     zero_row = np.any(row_norms == 0, axis=-1)
     scaled = hess / np.where(row_norms == 0, 1.0, row_norms)[..., None]
     det = np.linalg.det(scaled)
     # hypot rounds as abs() of one complex scalar does; the array np.abs of
     # a complex array can differ from it in the last bit
-    return np.hypot(det.real, det.imag), zero_row
+    det = np.hypot(det.real, det.imag)
+    return det, zero_row | (det <= DEGENERATE_DET)
 
 
-def _newton(po, w, config):
+def _newton(po, w, T0):
     """Run Newton from every row of w at once; return the rows that reach
-    max |grad| < newton_tol within max_iters iterations, in start order.
+    max |grad| < NEWTON_TOL within MAX_ITERS iterations, in start order.
 
     A start stops for good when its solve raises LinAlgError or its step
     norm is not finite; steps longer than 20 are clamped to norm 20.
     """
-    T0 = config.T0
     active = np.arange(len(w))
     converged = np.zeros(len(w), bool)
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         if not len(active):
             break
         grad, hess = _grad_hess_at_w(po, w[active], T0)
-        done = np.max(np.abs(grad), axis=1) < config.newton_tol
+        done = np.max(np.abs(grad), axis=1) < NEWTON_TOL
         converged[active[done]] = True
         active, grad, hess = active[~done], grad[~done], hess[~done]
         step, singular = _solve_steps(hess, grad)
@@ -263,16 +263,15 @@ def find_critical_points(po, config=SolverConfig()):
         re = rng.uniform(lo, -lo, size=n)
         im = rng.uniform(-np.pi, np.pi, size=n)
         w[start] = re + 1j * im
-    w = _newton(po, w, config)
+    w = _newton(po, w, T0)
     if not len(w):
         raise NonConvergenceError(
             f"no Newton start converged (starts={config.starts}, "
-            f"max_iters={config.max_iters})"
+            f"max_iters={MAX_ITERS})"
         )
 
-    # reject degenerate limit points (row-normalized determinant)
-    det, zero_row = _normalized_det(_grad_hess_at_w(po, w, T0)[1])
-    w = _canonical_w(w[~zero_row & ~(det <= 1e-10)])
+    _, degenerate = _normalized_det(_grad_hess_at_w(po, w, T0)[1])
+    w = _canonical_w(w[~degenerate])
 
     # order-independent dedupe: sort by canonical key (lexsort's primary
     # key is its last row), then cluster
@@ -283,7 +282,7 @@ def find_critical_points(po, config=SolverConfig()):
     for cand in w:
         rep = reps[:count]
         diff = np.abs((cand.real - rep.real) + 1j * _wrap_angle(cand.imag - rep.imag))
-        scale = config.dedupe_tol * (1.0 + np.max(np.abs(rep), axis=1))
+        scale = DEDUPE_TOL * (1.0 + np.max(np.abs(rep), axis=1))
         if not np.any(np.max(diff, axis=1) < scale):
             reps[count] = cand
             count += 1
@@ -298,14 +297,15 @@ def find_critical_points(po, config=SolverConfig()):
     ]
 
 
-def verify_candidate(po, cand, T0_list=(0.45, 0.55), polytope=None):
-    """Check an exponent-form candidate: gradient residuals at each T0,
-    valuations, and a two-point fit of the critical value to c T^e."""
+def verify_candidate(po, cand, polytope=None):
+    """Check an exponent-form candidate: gradient residuals at each T0 of
+    VERIFY_T0, valuations, and a two-point fit of the critical value to
+    c T^e."""
     if cand.exps is None:
         raise ValueError("verify_candidate needs an exponent-form candidate")
     residuals = []
     values = []
-    for T0 in T0_list:
+    for T0 in VERIFY_T0:
         y = cand.numeric_at(T0)
         residuals.append(float(np.max(np.abs(gradient_at(po, y, T0)))))
         values.append(evaluate(po, y, T0))
@@ -315,31 +315,28 @@ def verify_candidate(po, cand, T0_list=(0.45, 0.55), polytope=None):
         "valuations": tuple(cand.exps),
         "values": values,
     }
-    if len(T0_list) >= 2 and values[0] != 0 and values[1] != 0:
+    if values[0] != 0 and values[1] != 0:
         e_fit = (math.log(abs(values[0])) - math.log(abs(values[1]))) / (
-            math.log(T0_list[0]) - math.log(T0_list[1])
+            math.log(VERIFY_T0[0]) - math.log(VERIFY_T0[1])
         )
         report["value_exponent"] = e_fit
         report["value_exponent_rational"] = Fraction(e_fit).limit_denominator(100)
-        report["value_coefficient"] = values[0] / T0_list[0] ** e_fit
+        report["value_coefficient"] = values[0] / VERIFY_T0[0] ** e_fit
     if polytope is not None:
         u = [float(e) for e in cand.exps]
-        inside, active = contains(polytope, u, tol=1e-9)
+        inside, active = contains(polytope, u)
         report["in_interior"] = bool(inside and not active)
     return report
 
 
 def hessian_nondegenerate(po, cand, T0):
-    """(is_nondegenerate, |det H|) for the logarithmic Hessian at cand."""
-    y = cand.numeric_at(T0)
-    grad = gradient_at(po, y, T0)
+    """(is_nondegenerate, row-normalized |det H|) for the logarithmic
+    Hessian at cand, by the rule the solver uses to reject limit points."""
+    grad, hess = _grad_hess_at_w(po, np.log(cand.numeric_at(T0)), T0)
     if np.max(np.abs(grad)) > 1e-8:
         raise ValueError("candidate is not critical (residual > 1e-8)")
-    H = hessian_at(po, y, T0)
-    n = H.shape[0]
-    det = abs(np.linalg.det(H))
-    norm = np.linalg.norm(H, 2)
-    return det > 1e-10 * norm**n, det
+    det, degenerate = _normalized_det(hess)
+    return not degenerate, float(det)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def check_closed_forms(fast=False):
         po = _unit_potential(space)
         want = _EXPECTED_VALUATIONS.get(name)
         for cand in space.candidates(UNIT):
-            rep = potential.verify_candidate(po, cand, T0_list=(0.45, 0.55))
+            rep = potential.verify_candidate(po, cand)
             if rep["max_residual"] >= 1e-9:
                 problems.append(f"{name}: residual {rep['max_residual']:.3g}")
             nondeg, _ = potential.hessian_nondegenerate(po, cand, 0.5)
@@ -175,7 +175,7 @@ def check_critical_values(fast=False):
             ok, _ = qh.multiset_match(got, space.critical_values(UNIT, T0), 1e-8)
             if not ok:
                 problems.append(f"{name} value mismatch at T0={T0}")
-        rep = potential.verify_candidate(po, cands[0], T0_list=(0.45, 0.55))
+        rep = potential.verify_candidate(po, cands[0])
         if rep["value_exponent_rational"] != want or abs(
             rep["value_exponent"] - float(want)
         ) > 1e-10:
@@ -256,7 +256,7 @@ def check_floer_modules(fast=False):
             dec = module_presentation(floer.m1b_gr24(1, 0, x), ring=ring)
             if dec.free_rank != 4 or dec.torsion_exponents:
                 problems.append(f"m1b_gr24(1,0,{x}) over {ring}: {dec.to_dict()}")
-    d = floer.delta_pair_gr24(1, from_series=not fast)
+    d = floer.delta_pair_gr24(1)
     dec = module_presentation(d)
     if dec.free_rank != 0 or dec.torsion_exponents != (Fraction(1), Fraction(1)):
         problems.append(f"delta_pair_gr24(1): {dec.to_dict()}")

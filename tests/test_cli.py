@@ -113,6 +113,33 @@ def test_match_subcommands(capsys):
         assert json.loads(out)["matched"] is True
 
 
+@pytest.mark.parametrize("space", ["Gr24", "Fl3"])
+def test_match_rejects_base_value_outside_unit_interval(capsys, space):
+    # T0 = 0 made every Gr24 critical value 0 and reported a match, and
+    # reached Fl3's exit 2 only through a ZeroDivisionError
+    code, out, err = run(capsys, "match", space, "--T0", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: T0 must lie in (0, 1)\n"
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_match_rejects_non_positive_or_non_finite_tol(capsys, tol):
+    code, out, err = run(capsys, "match", "Gr25", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "tol must be a positive finite number" in err
+
+
+def test_floer_overflowing_holonomy_is_invalid_input(capsys):
+    # e^1000 overflowed to inf and the torsion came out [3/2, 3/2]
+    code, out, err = run(capsys, "floer", "Gr24", "--lam", "1", "--t", "1/2",
+                         "--x-re", "1000")
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
+
+
 def test_floer_fl3(capsys):
     code, out, _ = run(capsys, "floer", "Fl3", "--l1", "3/10", "--l2", "7/10")
     assert code == 0

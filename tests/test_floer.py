@@ -216,6 +216,14 @@ def test_m1b_gr24_squares_to_zero_and_decomposes():
         m1b_gr24(1, 2, 0.0)
 
 
+@pytest.mark.parametrize("x", [1000.0, -1000.0, 800.0 + 1.0j])
+def test_m1b_gr24_rejects_overflowing_holonomy(x):
+    with pytest.raises(ValueError, match="overflows"):
+        m1b_gr24(1, Fraction(1, 2), x)
+    # e^700 is still finite
+    m1b_gr24(1, Fraction(1, 2), 700.0)
+
+
 def test_m1b_gr24_unobstructed_at_critical_b():
     for x in (0.5j * np.pi, BoundingCochain(-0.5j * np.pi)):
         d = m1b_gr24(1, 0, x)
@@ -225,7 +233,7 @@ def test_m1b_gr24_unobstructed_at_critical_b():
 
 
 def test_delta_pair_gr24():
-    d = delta_pair_gr24(1, from_series=False)
+    d = delta_pair_gr24(1)
     dec = module_presentation(d)
     assert dec.free_rank == 0
     assert dec.torsion_exponents == (Fraction(1), Fraction(1))
@@ -233,12 +241,6 @@ def test_delta_pair_gr24():
     coeff = abs(d.entries[0][2].leading_coefficient())
     assert abs(coeff - 16.0 / (3.0 * np.pi)) < 1e-14
     assert abs(abs(d.entries[1][3].leading_coefficient()) - 32.0 / (3.0 * np.pi)) < 1e-14
-
-
-def test_delta_pair_gr24_from_series_matches_closed_form():
-    d = delta_pair_gr24(1, from_series=True, K=30)
-    coeff = d.entries[0][2].leading_coefficient()
-    assert abs(coeff - 16.0 / (3.0 * np.pi)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,14 @@ def spaces():
 
 
 def test_index_sets():
-    assert index_set(fl3_shape(), fl3_profile(1, 1)).pairs == ((1, 2), (2, 2), (1, 1))
-    assert index_set(grassmannian_shape(2, 4), gr24_profile(1)).pairs == (
+    assert index_set(fl3_shape(), fl3_profile(1, 1)) == ((1, 2), (2, 2), (1, 1))
+    assert index_set(grassmannian_shape(2, 4), gr24_profile(1)) == (
         (2, 3),
         (1, 2),
         (2, 2),
         (1, 1),
     )
-    assert index_set(grassmannian_shape(2, 5), gr25_profile(1)).pairs == (
+    assert index_set(grassmannian_shape(2, 5), gr25_profile(1)) == (
         (2, 4),
         (1, 3),
         (2, 3),
@@ -78,7 +78,7 @@ def _exact_rows(polytope):
             if isinstance(side, Fraction):
                 const += sgn * side
             else:
-                coeffs[polytope.index.position(side)] += sgn
+                coeffs[polytope.index.index(side)] += sgn
         rows.append((coeffs, const))
     return rows
 
@@ -265,33 +265,36 @@ def test_constructor_input_validation():
 
 def test_classify_fiber_table():
     polytope = build_polytope(fl3_shape(), fl3_profile(1, 1))
-    f = classify_fiber("Fl3", polytope, GCPoint((0.5, -0.5, 0.1), polytope.index))
+    f = classify_fiber(polytope, GCPoint((0.5, -0.5, 0.1), polytope.index))
     assert (f.kind, f.real_dimension, f.lagrangian) == ("torus", 3, True)
-    f = classify_fiber("Fl3", polytope, GCPoint((0.0, 0.0, 0.0), polytope.index))
+    f = classify_fiber(polytope, GCPoint((0.0, 0.0, 0.0), polytope.index))
     assert (f.kind, f.real_dimension, f.lagrangian) == ("S3", 3, True)
-    f = classify_fiber("Fl3", polytope, GCPoint((1.0, 0.0, 1.0), polytope.index))
+    f = classify_fiber(polytope, GCPoint((1.0, 0.0, 1.0), polytope.index))
     assert f.kind == "torus" and f.real_dimension == 0
     with pytest.raises(ValueError, match="polytope"):
-        classify_fiber("Fl3", polytope, GCPoint((5.0, 0.0, 0.0), polytope.index))
+        classify_fiber(polytope, GCPoint((5.0, 0.0, 0.0), polytope.index))
 
     polytope = build_polytope(grassmannian_shape(2, 4), gr24_profile(1))
-    f = classify_fiber("Gr24", polytope, GCPoint((1.0,) * 4, polytope.index))
+    f = classify_fiber(polytope, GCPoint((1.0,) * 4, polytope.index))
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2", 4, True)
     assert "displaceable" not in f.annotations  # the monotone level
-    f = classify_fiber("Gr24", polytope, GCPoint((0.3,) * 4, polytope.index))
+    f = classify_fiber(polytope, GCPoint((0.3,) * 4, polytope.index))
     assert f.kind == "U2" and "displaceable" in f.annotations
-    # a space the stratum table does not name has no known non-torus strata
-    f = classify_fiber("Gr36", polytope, (0.3,) * 4)
+    # a shape the stratum table does not name has no known non-torus strata
+    shape, profile = grassmannian_shape(3, 6), gr2n_profile(3, 1)
+    u = gc_map(gr2n_un_point(3, 1, 0.3, np.eye(3)), shape, profile)
+    assert detect_diamonds(shape, profile, u) == [(2, 1), (3, 1), (3, 2), (4, 2)]
+    f = classify_fiber(build_polytope(shape, profile), u)
     assert f.kind == "unknown-nonsmooth"
 
     polytope = build_polytope(grassmannian_shape(2, 5), gr25_profile(1))
     idx = polytope.index
-    f = classify_fiber("Gr25", polytope, GCPoint((0.5, 0.7, 0.3, 0.3, 0.3, 0.3), idx))
+    f = classify_fiber(polytope, GCPoint((0.5, 0.7, 0.3, 0.3, 0.3, 0.3), idx))
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2xT2", 6, True)
     assert "displaceable" in f.annotations
-    f = classify_fiber("Gr25", polytope, GCPoint((0.5, 0.5, 0.5, 0.5, 0.2, 0.3), idx))
+    f = classify_fiber(polytope, GCPoint((0.5, 0.5, 0.5, 0.5, 0.2, 0.3), idx))
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2xT2", 6, True)
-    f = classify_fiber("Gr25", polytope, GCPoint((0.4,) * 6, idx))
+    f = classify_fiber(polytope, GCPoint((0.4,) * 6, idx))
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2", 4, False)
 
 
@@ -299,7 +302,7 @@ def test_classify_fiber_unknown_stratum():
     # a boundary degeneracy outside the hard-coded table
     polytope = build_polytope(grassmannian_shape(2, 5), gr25_profile(1))
     u = GCPoint((0.0, 0.3, 0.0, 0.0, 0.0, 0.0), polytope.index)
-    f = classify_fiber("Gr25", polytope, u)
+    f = classify_fiber(polytope, u)
     assert f.kind == "unknown-nonsmooth"
     assert f.real_dimension == -1
 
@@ -352,7 +355,7 @@ def test_gc_map_interlaces(seed, halves):
         vals = np.array([float(v) for v in profile.values])
         q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         u = gc_map(q @ np.diag(vals) @ q.conj().T, shape, profile)
-        entries = dict(zip(u.index.pairs, u.values))
+        entries = dict(zip(u.index, u.values))
 
         def level(k):
             return [entries.get((i, k), float(profile.value(i))) for i in range(1, k + 1)]
@@ -365,12 +368,14 @@ def test_gc_map_interlaces(seed, halves):
 
 def test_package_import_defers_scipy_optimize():
     # facets are decided by exact path arithmetic, so only the optimal
-    # matching of qh.multiset_match pays the scipy.optimize load
+    # matching of qh.multiset_match pays the scipy.optimize load; the
+    # quadrature rule is written out, so nothing here loads numpy.polynomial
     code = (
         "import sys, gcfloer.cli; "
         "from gcfloer import gc_core, potential, qh; "
         "from gcfloer.spaces import SPACES, UNIT; "
         "assert 'scipy.optimize' not in sys.modules; "
+        "assert 'numpy.polynomial' not in sys.modules; "
         "[(gc_core.build_polytope(s.shape, s.profile(UNIT)), "
         "potential.build_potential(s.shape, s.profile(UNIT))) "
         "for s in SPACES.values()]; "

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcfloer import numerics
 from gcfloer.numerics import (
     NonConvergenceError,
     check_hermitian,
@@ -91,3 +92,13 @@ def test_integrate_periodic_picks_out_constant_term(coeffs):
 
     got = integrate_periodic(f, tol=1e-11)
     assert abs(got - coeffs[0]) < 1e-9
+
+
+def test_quadrature_rule_is_leggauss_16():
+    # integrate_periodic's written-out rule is exactly numpy's, so results
+    # match a rule computed at run time bit for bit
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert numerics._NODES.tobytes() == nodes.tobytes()
+    assert numerics._WEIGHTS.tobytes() == weights.tobytes()
+    assert not numerics._NODES.flags.writeable
+    assert not numerics._WEIGHTS.flags.writeable
