@@ -11,7 +11,6 @@ decomposed as Novikov modules.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 

@@ -156,6 +156,8 @@ class GCPoint:
         if len(self.values) != len(self.index):
             raise ValueError("value count does not match the index set")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("point values must be finite")
 
     def entry(self, i, k):
         return self.values[self.index.index((i, k))]

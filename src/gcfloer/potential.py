@@ -9,13 +9,14 @@ coordinates, where the Jacobian of the gradient system is the logarithmic
 Hessian of the potential.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .gc_core import build_polytope, contains
+from .gc_core import EigenProfile, build_polytope, contains, grassmannian_shape, index_set
 from .novikov import as_fraction
 from .numerics import NonConvergenceError
 
@@ -340,7 +341,7 @@ def hessian_nondegenerate(po, cand, T0):
 
 
 # ---------------------------------------------------------------------------
-# closed-form critical points of the three reference spaces
+# closed-form critical points of Fl(3) and of every Gr(k, n)
 
 
 def fl3_critical_points(l1, l2, T0):
@@ -385,74 +386,65 @@ def fl3_critical_candidates(lam):
     return cands
 
 
-def gr24_critical_candidates(lam):
-    """The four critical points of the Gr(2,4) potential (Q = T^{2 lam}):
-    (y1, ..., y4) = ((-1)^i Q^{1/2}, i^{-i} (Q^3/4)^{1/4}, i^i (4Q)^{1/4},
-    (-1)^i Q^{1/2}); note y2 = Q / y3 forces the reciprocal phase on y2."""
-    lam = as_fraction(lam)
-    cands = []
-    for i in range(4):
-        m1 = (-1.0 + 0j) ** i
-        sq = 1j**i
-        cands.append(
-            CriticalCandidate(
-                coeffs=(m1, 4.0**-0.25 / sq, sq * 4.0**0.25, m1),
-                exps=(lam, 3 * lam / 2, lam / 2, lam),
-            )
-        )
-    return cands
+def _poly_divmod(v, m):
+    """Quotient and remainder of integer polynomials v / m (m monic), constant term first."""
+    q, r, d = [], list(v), len(m) - 1
+    for top in range(len(r) - 1, d - 1, -1):
+        q.insert(0, r[top])
+        r[top - d:top + 1] = [x - q[0] * y for x, y in zip(r[top - d:top + 1], m)]
+    return q, r[:d]
 
 
-def gr24_critical_values(lam, T0):
-    """4 sqrt(2) i^i Q^{1/4} with Q = T^{2 lam}."""
-    lamf = float(lam)
-    Q = T0 ** (2.0 * lamf)
-    return [4.0 * np.sqrt(2.0) * 1j**i * Q**0.25 for i in range(4)]
+def _cyclotomic(N):
+    """Phi_N: x^N - 1 divided by Phi_d for each proper divisor d of N."""
+    poly = [-1] + [0] * (N - 1) + [1]
+    for d in (d for d in range(1, N) if N % d == 0):
+        poly = _poly_divmod(poly, _cyclotomic(d))[0]
+    return poly
 
 
-def gr25_critical_candidates(lam):
-    """The ten critical points of the Gr(2,5) potential (Q = T^{lam}).
-
-    All ten are monomial: y6 = zeta5^m Q^{2/5} (so y6^5 = Q^2), and
-    y4 = r Q / y6 with r a root of r^2 + r - 1 = 0, then
-    y3 = Q/y4, y5 = y6^2/y4, y2 = Q/y5, y1 = Q/y6.
-    """
-    lam = as_fraction(lam)
-    zeta5 = np.exp(2j * np.pi / 5.0)
-    roots = ((-1.0 + np.sqrt(5.0)) / 2.0, (-1.0 - np.sqrt(5.0)) / 2.0)
-    cands = []
-    for m in range(5):
-        z = zeta5**m
-        for r in roots:
-            c6 = z
-            c4 = r / z
-            c3 = 1.0 / c4
-            c5 = z**2 / c4
-            c2 = 1.0 / c5
-            c1 = 1.0 / z
-            cands.append(
-                CriticalCandidate(
-                    coeffs=(c1, c2, c3, c4, c5, c6),
-                    exps=(
-                        3 * lam / 5,
-                        4 * lam / 5,
-                        2 * lam / 5,
-                        3 * lam / 5,
-                        lam / 5,
-                        2 * lam / 5,
-                    ),
-                )
-            )
-    return cands
+def _alternant_vanishes(parts, J, N, phi):
+    """Whether det(zeta_N^(J_j (parts_i + k - i))) = 0 exactly: its Leibniz
+    expansion over the powers of zeta_N is divisible by phi = Phi_N."""
+    k, v = len(J), [0] * N
+    for perm in itertools.permutations(range(k)):
+        sign = (-1) ** sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+        v[sum(J[p] * (parts[i] + k - 1 - i) for i, p in enumerate(perm)) % N] += sign
+    return not any(_poly_divmod(v, phi)[1])
 
 
-def gr25_critical_values(lam, T0):
-    """-5 (zeta5^i + zeta5^j) Q^{1/5} for 0 <= i < j <= 4, Q = T^{lam}."""
-    lamf = float(lam)
-    Q = T0**lamf
-    zeta5 = np.exp(2j * np.pi / 5.0)
-    return [
-        -5.0 * (zeta5**i + zeta5**j) * Q**0.2
-        for i in range(5)
-        for j in range(i + 1, 5)
-    ]
+def _chart_roots(k, n):
+    """The k-subsets u_J of the roots u_j = zeta_2n^(2j + (k+1) mod 2) of
+    u^n = (-1)^(k+1) at which no s_R(r, c), 1 <= r <= k, 1 <= c <= n - k,
+    vanishes: the rectangles-cluster chart of Marsh-Rietsch."""
+    phi = _cyclotomic(2 * n)
+    rects = [(c,) * r + (0,) * (k - r) for r in range(1, k + 1) for c in range(1, n - k + 1)]
+    return [np.exp(1j * np.pi * np.array(J) / n)
+            for J in itertools.combinations(range((k + 1) % 2, 2 * n, 2), k)
+            if not any(_alternant_vanishes(parts, J, 2 * n, phi) for parts in rects)]
+
+
+def _schur(rects, u):
+    """s_R(r, c)(u) for each r x c rectangle (r, c) of rects, as bialternant ratios."""
+    powers = np.arange(len(u) - 1, -1, -1)
+    parts = np.array([(c,) * r + (0,) * (len(u) - r) for r, c in rects])
+    return np.linalg.det(u ** (parts + powers)[..., None]) / np.linalg.det(u ** powers[:, None])
+
+
+def grassmannian_critical_candidates(k, n, a, b):
+    """Rietsch's critical points of the Gr(k, n) potential with block values
+    a > b: at each chart subset u_J, the entry (i, m) of the index set is
+    s_R(k-i+1, m-i+1)(u_J) / s_R(k-i, m-i)(u_J) T^(b + (a-b)(m+k-2i+1)/n)."""
+    a, b = as_fraction(a), as_fraction(b)
+    index = index_set(grassmannian_shape(k, n), EigenProfile((a,) * k + (b,) * (n - k)))
+    exps = tuple(b + (a - b) * Fraction(m + k - 2 * i + 1, n) for i, m in index)
+    upper = [(k - i + 1, m - i + 1) for i, m in index]
+    lower = [(k - i, m - i) for i, m in index]
+    return [CriticalCandidate(coeffs=tuple(_schur(upper, u) / _schur(lower, u)), exps=exps)
+            for u in _chart_roots(k, n)]
+
+
+def grassmannian_critical_values(k, n, a, b, T0):
+    """n (x_j1 + ... + x_jk), x_J = T^((a-b)/n) u_J, in the candidates' order."""
+    scale = n * T0 ** float(Fraction(as_fraction(a) - as_fraction(b), n))
+    return [scale * np.sum(u) for u in _chart_roots(k, n)]

@@ -56,8 +56,8 @@ def sigma1_matrix(k, n):
     q * sigma_{(lam_2 - 1, ..., lam_k - 1)} exactly when lam_1 = n - k and
     all k parts are >= 1.
     """
-    if not (1 <= k < n <= 6):
-        raise ValueError("need 1 <= k < n <= 6")
+    if not 1 <= k < n:
+        raise ValueError("need 1 <= k < n")
     m = n - k
     basis = tuple(partitions_in_box(k, m))
     pos = {lam: i for i, lam in enumerate(basis)}

@@ -1,8 +1,8 @@
 """The reference spaces Fl(3), Gr(2,4) and Gr(2,5), each defined once.
 
 Parameters come from any object with l1, l2 and lam attributes (an argparse
-namespace, or UNIT for the unit profile); Fl3 reads l1 and l2, the
-Grassmannians read lam.
+namespace, or UNIT); Fl3 reads l1 and l2. A Grassmannian (name, k, n, profile)
+reads lam; its closed forms come from one formula for every Gr(k, n) in potential.
 """
 
 from dataclasses import dataclass
@@ -64,17 +64,19 @@ def _fl3_critical_values(p, T0):
     return [potential.evaluate(po, y, T0) for y in points]
 
 
-def _grassmannian(name, k, n, profile, candidates, critical_values, pad_zeros=False):
+def _grassmannian(name, k, n, profile, pad_zeros=False):
+    def blocks(p):
+        return profile(p.lam).value(1), profile(p.lam).value(n)
+
     return Space(name, gc_core.grassmannian_shape(k, n), lambda p: profile(p.lam),
-                 lambda p: candidates(p.lam), lambda p, T0: critical_values(p.lam, T0),
+                 lambda p: potential.grassmannian_critical_candidates(k, n, *blocks(p)),
+                 lambda p, T0: potential.grassmannian_critical_values(k, n, *blocks(p), T0),
                  lambda q: qh.c1_eigenvalues_grassmannian(k, n, *q), pad_zeros)
 
 
 SPACES = {space.name: space for space in (
     Space("Fl3", gc_core.fl3_shape(), lambda p: gc_core.fl3_profile(p.l1, p.l2),
           _fl3_candidates, _fl3_critical_values, lambda q: qh.fl3_c1_eigenvalues(*q)),
-    _grassmannian("Gr24", 2, 4, gc_core.gr24_profile, potential.gr24_critical_candidates,
-                  potential.gr24_critical_values, pad_zeros=True),
-    _grassmannian("Gr25", 2, 5, gc_core.gr25_profile, potential.gr25_critical_candidates,
-                  potential.gr25_critical_values),
+    _grassmannian("Gr24", 2, 4, gc_core.gr24_profile, pad_zeros=True),
+    _grassmannian("Gr25", 2, 5, gc_core.gr25_profile),
 )}

@@ -2,6 +2,15 @@ import contextlib
 import signal
 
 import pytest
+from hypothesis import settings
+
+# Tier-1 runs draw the same examples every time (derandomize seeds the
+# generator from each test, and implies no example database), so a failure
+# reproduces from the command line alone. `--hypothesis-profile=explore`
+# draws at random, with the example database, to look for new failures.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 
 @contextlib.contextmanager

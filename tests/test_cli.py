@@ -58,6 +58,15 @@ def test_polytope_outside_point_is_invalid_input(capsys):
     assert "not in the polytope" in err
 
 
+def test_polytope_non_finite_point_is_invalid_input(capsys):
+    # a NaN slack is neither below -GC_TOL nor within it, so a NaN point
+    # once counted as inside and came out as a torus fiber with exit 0
+    code, out, err = run(capsys, "polytope", "Gr24", "--lam", "1", "--at", "nan,nan,nan,nan")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_potential_terms(capsys):
     code, out, _ = run(capsys, "potential", "Gr25", "--lam", "1")
     assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -198,6 +199,10 @@ def test_contains_and_face_dimension():
     assert face_dimension(polytope, vertex) == 0
     outside = GCPoint((2.0, 0.0, 0.0), polytope.index)
     assert not contains(polytope, outside)[0]
+    # a NaN slack would be neither violated nor active: no point is non-finite
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            contains(polytope, (0.0, bad, 0.0))
 
 
 def test_detect_diamonds():

@@ -1,5 +1,7 @@
+import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from gcfloer import potential
 from gcfloer.gc_core import (
+    EigenProfile,
     build_polytope,
     fl3_profile,
     fl3_shape,
@@ -22,10 +25,6 @@ from gcfloer.potential import (
     find_critical_points,
     fl3_critical_candidates,
     fl3_critical_points,
-    gr24_critical_candidates,
-    gr24_critical_values,
-    gr25_critical_candidates,
-    gr25_critical_values,
     gradient_at,
     hessian_at,
     hessian_nondegenerate,
@@ -229,7 +228,7 @@ def test_batched_solver_matches_per_start_reference(name):
 def test_solver_recovers_closed_forms():
     for po, cands in (
         (fl3_potential(), fl3_critical_candidates(1)),
-        (gr24_potential(), gr24_critical_candidates(1)),
+        (gr24_potential(), SPACES["Gr24"].candidates(UNIT)),
     ):
         T0 = 0.5
         found = find_critical_points(po, SolverConfig(T0=T0, starts=200, seed=1))
@@ -251,7 +250,7 @@ def test_fl3_critical_points_are_critical_for_generic_profile():
 
 def test_verify_candidate_report():
     po = gr24_potential()
-    cand = gr24_critical_candidates(1)[0]
+    cand = SPACES["Gr24"].candidates(UNIT)[0]
     rep = verify_candidate(po, cand, polytope=build_polytope(
         grassmannian_shape(2, 4), gr24_profile(1)
     ))
@@ -288,9 +287,9 @@ def test_gr25_values_match_candidates():
     T0 = 0.6
     got = sorted(
         np.round(evaluate(po, c.numeric_at(T0), T0), 9)
-        for c in gr25_critical_candidates(1)
+        for c in SPACES["Gr25"].candidates(UNIT)
     )
-    want = sorted(np.round(v, 9) for v in gr25_critical_values(1, T0))
+    want = sorted(np.round(v, 9) for v in SPACES["Gr25"].critical_values(UNIT, T0))
     assert np.abs(np.array(got) - np.array(want)).max() < 1e-8
 
 
@@ -298,7 +297,7 @@ def test_gr24_values_scale_as_q_quarter():
     for lam in (1, Fraction(3, 2)):
         for T0 in (0.4, 0.7):
             Q = T0 ** float(2 * lam)
-            vals = gr24_critical_values(lam, T0)
+            vals = SPACES["Gr24"].critical_values(SimpleNamespace(lam=lam), T0)
             assert np.allclose(
                 sorted(np.abs(vals)), [4 * np.sqrt(2) * Q**0.25] * 4
             )
@@ -308,6 +307,157 @@ def test_gr24_values_scale_as_q_quarter():
 @given(t0=st.floats(0.3, 0.8), k=st.integers(0, 5))
 def test_closed_form_residuals_random_t0(t0, k):
     po = gr25_potential()
-    cand = gr25_critical_candidates(1)[k]
+    cand = SPACES["Gr25"].candidates(UNIT)[k]
     y = cand.numeric_at(t0)
     assert np.abs(gradient_at(po, y, t0)).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the Grassmannian closed form against the hand-derived Gr(2,4) and Gr(2,5)
+# points it replaced, kept here as independent oracles
+
+
+def _gr24_literal_candidates(lam):
+    """(y1, ..., y4) = ((-1)^i Q^{1/2}, i^{-i} (Q^3/4)^{1/4}, i^i (4Q)^{1/4},
+    (-1)^i Q^{1/2}) with Q = T^{2 lam}."""
+    lam = Fraction(lam)
+    cands = []
+    for i in range(4):
+        m1 = (-1.0 + 0j) ** i
+        sq = 1j**i
+        cands.append(
+            potential.CriticalCandidate(
+                coeffs=(m1, 4.0**-0.25 / sq, sq * 4.0**0.25, m1),
+                exps=(lam, 3 * lam / 2, lam / 2, lam),
+            )
+        )
+    return cands
+
+
+def _gr24_literal_values(lam, T0):
+    """4 sqrt(2) i^i Q^{1/4} with Q = T^{2 lam}."""
+    Q = T0 ** (2.0 * float(lam))
+    return [4.0 * np.sqrt(2.0) * 1j**i * Q**0.25 for i in range(4)]
+
+
+def _gr25_literal_candidates(lam):
+    """All ten are monomial (Q = T^{lam}): y6 = zeta5^m Q^{2/5} (so
+    y6^5 = Q^2), and y4 = r Q / y6 with r a root of r^2 + r - 1 = 0, then
+    y3 = Q/y4, y5 = y6^2/y4, y2 = Q/y5, y1 = Q/y6."""
+    lam = Fraction(lam)
+    zeta5 = np.exp(2j * np.pi / 5.0)
+    roots = ((-1.0 + np.sqrt(5.0)) / 2.0, (-1.0 - np.sqrt(5.0)) / 2.0)
+    cands = []
+    for m in range(5):
+        z = zeta5**m
+        for r in roots:
+            c6 = z
+            c4 = r / z
+            c3 = 1.0 / c4
+            c5 = z**2 / c4
+            c2 = 1.0 / c5
+            c1 = 1.0 / z
+            cands.append(
+                potential.CriticalCandidate(
+                    coeffs=(c1, c2, c3, c4, c5, c6),
+                    exps=(
+                        3 * lam / 5,
+                        4 * lam / 5,
+                        2 * lam / 5,
+                        3 * lam / 5,
+                        lam / 5,
+                        2 * lam / 5,
+                    ),
+                )
+            )
+    return cands
+
+
+def _gr25_literal_values(lam, T0):
+    """-5 (zeta5^i + zeta5^j) Q^{1/5} for 0 <= i < j <= 4, Q = T^{lam}."""
+    Q = T0 ** float(lam)
+    zeta5 = np.exp(2j * np.pi / 5.0)
+    return [
+        -5.0 * (zeta5**i + zeta5**j) * Q**0.2
+        for i in range(5)
+        for j in range(i + 1, 5)
+    ]
+
+
+def _same_points(got, want, tol):
+    """Whether two lists of points are one set: each point of got lies within
+    tol of exactly one point of want, and the lists have one length."""
+    got, want = np.array(got).reshape(len(got), -1), np.array(want).reshape(len(want), -1)
+    near = np.max(np.abs(got[:, None, :] - want[None, :, :]), axis=2) < tol
+    return len(got) == len(want) and all(near.sum(axis=0) == 1) and all(near.sum(axis=1) == 1)
+
+
+_LITERALS = {
+    "Gr24": (_gr24_literal_candidates, _gr24_literal_values),
+    "Gr25": (_gr25_literal_candidates, _gr25_literal_values),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LITERALS))
+def test_formula_reproduces_hand_derived_closed_forms(name):
+    space = SPACES[name]
+    literal_candidates, literal_values = _LITERALS[name]
+    for lam in (1, Fraction(3, 2)):
+        params = SimpleNamespace(lam=lam)
+        got, want = space.candidates(params), literal_candidates(lam)
+        assert {c.exps for c in got} == {c.exps for c in want}
+        assert len({c.exps for c in got}) == 1
+        for T0 in (0.45, 0.55):
+            assert _same_points(
+                [c.numeric_at(T0) for c in got], [c.numeric_at(T0) for c in want], 1e-14
+            )
+            assert _same_points(space.critical_values(params, T0), literal_values(lam, T0), 1e-14)
+
+
+_CHART_COUNTS = {(1, 3): 3, (2, 4): 4, (2, 5): 10, (2, 6): 6, (3, 6): 18}
+
+
+@pytest.mark.parametrize("k,n", sorted(_CHART_COUNTS))
+def test_grassmannian_closed_form(k, n):
+    shape = grassmannian_shape(k, n)
+    for a, b in ((1, 0), (Fraction(3, 2), Fraction(-1, 2)), (2, Fraction(1, 3)),
+                 (Fraction(1, 2), -2)):
+        po = build_potential(shape, EigenProfile.from_blocks(shape, (a, b)))
+        cands = potential.grassmannian_critical_candidates(k, n, a, b)
+        assert len(cands) == _CHART_COUNTS[(k, n)]
+        for T0 in (0.5, 0.3):
+            values = potential.grassmannian_critical_values(k, n, a, b, T0)
+            points = [c.numeric_at(T0) for c in cands]
+            for cand, y, value in zip(cands, points, values):
+                assert np.abs(gradient_at(po, y, T0)).max() <= 1e-12
+                assert abs(evaluate(po, y, T0) - value) <= 1e-12
+                assert hessian_nondegenerate(po, cand, T0)[0]
+            for y, z in itertools.combinations(points, 2):
+                assert np.abs(y - z).max() > 1e-6
+
+
+@pytest.mark.parametrize("k,n,count", [(2, 7, 21), (3, 7, 35)])
+def test_grassmannian_chart_counts_beyond_the_registry(k, n, count):
+    # the solver counts of Gr(2,7) and Gr(3,7)
+    assert len(potential.grassmannian_critical_candidates(k, n, 1, 0)) == count
+
+
+def test_gr24_chart_excludes_exactly_the_opposite_pairs():
+    # of the six pairs of roots of x^4 = -q, exactly the two with x_a = -x_b
+    # (critical value 0) make a rectangular Schur function vanish
+    roots = np.exp(1j * np.pi * np.array([1, 3, 5, 7]) / 4)
+    kept = {tuple(np.round(u, 12)) for u in potential._chart_roots(2, 4)}
+    for pair in itertools.combinations(roots, 2):
+        assert (tuple(np.round(pair, 12)) in kept) == (abs(sum(pair)) > 0.5)
+    assert len(kept) == 4
+
+
+def test_alternant_zero_test_is_exact():
+    # s_(1)(u_a, u_b) = u_a + u_b is zero exactly for opposite roots of
+    # unity, and never zero for the neighbours, at every N = 2n tried
+    for n in range(3, 9):
+        N = 2 * n
+        phi = potential._cyclotomic(N)
+        assert potential._alternant_vanishes((1, 0), (1, 1 + n), N, phi)
+        assert not potential._alternant_vanishes((1, 0), (1, 3), N, phi)
+    assert potential._cyclotomic(12) == [1, 0, -1, 0, 1]

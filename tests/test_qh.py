@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from gcfloer import gc_core, potential
+from gcfloer import gc_core
 from gcfloer.qh import (
     c1_eigenvalues_grassmannian,
     fl3_c1_matrix,
@@ -13,7 +13,7 @@ from gcfloer.qh import (
     partitions_in_box,
     sigma1_matrix,
 )
-from gcfloer.spaces import SPACES
+from gcfloer.spaces import SPACES, UNIT
 
 
 def test_partitions_in_box():
@@ -52,7 +52,9 @@ def test_sigma1_matrix_bounds():
     with pytest.raises(ValueError):
         sigma1_matrix(0, 4)
     with pytest.raises(ValueError):
-        sigma1_matrix(3, 7)
+        sigma1_matrix(4, 4)
+    # no cap on n: Gr(3,7) has the C(7,3) = 35 Schubert classes
+    assert sigma1_matrix(3, 7).dim == 35
 
 
 def test_classical_limit_is_nilpotent():
@@ -85,7 +87,7 @@ def test_fl3_c1_matrix_structure():
     assert np.abs(np.linalg.matrix_power(m0, 6)).max() < 1e-12
 
 
-@pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (2, 5), (2, 6), (3, 6)])
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (2, 5), (2, 6), (3, 6), (2, 7), (3, 7)])
 def test_c1_eigenvalues_grassmannian_closed_form(k, n):
     # Rietsch (2001): the c1 eigenvalues of Gr(k, n) at q are n (x_j1 + ... +
     # x_jk) over the k-subsets of the roots of x^n = (-1)^(k+1) q.
@@ -123,7 +125,7 @@ def test_multiset_match():
 def test_multiset_match_padded_indices_gr24():
     # four critical values against six eigenvalues: the two padded zeros
     # get the integer indices 4 and 5 and pair with the double zero
-    values = potential.gr24_critical_values(1, 0.5)
+    values = SPACES["Gr24"].critical_values(UNIT, 0.5)
     eigs = c1_eigenvalues_grassmannian(2, 4, 0.25)
     ok, pairing = multiset_match(values, eigs, 1e-7, allow_zero_padding=True)
     assert ok and len(pairing) == 6
