@@ -78,25 +78,40 @@ def complex_eigenvalues(m):
     return eigs[order]
 
 
+_GRIDS = {}  # panels -> the read-only half-widths and nodes of the composite rule
+
+
+def _grid(panels):
+    if panels in _GRIDS:
+        return _GRIDS[panels]
+    edges = np.linspace(0.0, 2.0 * np.pi, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    theta = mid[:, None] + half[:, None] * _NODES
+    half.flags.writeable = theta.flags.writeable = False
+    if panels <= 64:  # not the grids of a non-converging run: 2^20 panels take 134 MB
+        _GRIDS[panels] = half, theta
+    return half, theta
+
+
 def integrate_periodic(f, tol=1e-12, max_doublings=20):
     """Mean value (1/2pi) * integral of f over [0, 2*pi].
 
     Composite 16-point Gauss-Legendre; the panel count doubles until two
     successive estimates differ by less than tol/2, and NonConvergenceError
     is raised after max_doublings doublings.  f is called once per estimate
-    with the (panels, 16) array of nodes and must return an array of that
-    shape, or one that broadcasts to it (a constant); any other shape
-    raises ValueError.
+    with the (panels, 16) array of nodes, which is read-only (writing into
+    it raises ValueError), and must return an array of that shape, or one
+    that broadcasts to it (a constant); any other shape raises ValueError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
     def estimate(panels):
-        edges = np.linspace(0.0, 2.0 * np.pi, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        theta = mid[:, None] + half[:, None] * _NODES
-        vals = np.broadcast_to(np.asarray(f(theta), dtype=complex), theta.shape)
+        half, theta = _grid(panels)
+        vals = np.asarray(f(theta), dtype=complex)
+        if vals.shape != theta.shape:
+            vals = np.broadcast_to(vals, theta.shape)
         # a dot product per panel: one gemv over all panels rounds differently
         dots = np.matmul(vals[:, None, :], _WEIGHTS)[:, 0]
         return np.sum(half * dots) / (2.0 * np.pi)

@@ -41,8 +41,10 @@ class Space:
         Returns (values, eigenvalues, matched, pairing), the last two as
         from qh.multiset_match.
         """
+        profile = self.profile(params)
+        profile.validate(self.shape)
         values = self.critical_values(params, T0)
-        eigs = self.c1_eigenvalues(self.quantum_parameters(self.profile(params), T0))
+        eigs = self.c1_eigenvalues(self.quantum_parameters(profile, T0))
         matched, pairing = qh.multiset_match(
             values, eigs, tol, allow_zero_padding=self.pad_zeros
         )

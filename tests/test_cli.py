@@ -1,10 +1,13 @@
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gcfloer import cli, gc_core
 from gcfloer.cli import main, rational
+from gcfloer.spaces import SPACES
 
 
 def run(capsys, *argv):
@@ -130,6 +133,23 @@ def test_match_rejects_base_value_outside_unit_interval(capsys, space):
     assert code == 2
     assert out == ""
     assert err == "error: T0 must lie in (0, 1)\n"
+
+
+@pytest.mark.parametrize("space,lam", [("Gr24", "0"), ("Gr24", "-1"), ("Gr25", "0")])
+def test_match_rejects_profile_that_does_not_drop(capsys, space, lam):
+    # these profiles have no strict drop at step 2, yet each exited 0 with
+    # matched: true
+    code, out, err = run(capsys, "match", space, "--lam", lam)
+    assert code == 2
+    assert out == ""
+    assert err == "error: profile must drop strictly at step 2\n"
+
+
+def test_match_c1_checks_the_profile_itself():
+    # not only through a space's closed forms, which may not check it
+    space = dataclasses.replace(SPACES["Gr24"], critical_values=lambda p, T0: [0j] * 4)
+    with pytest.raises(ValueError, match="drop strictly at step 2"):
+        space.match_c1(SimpleNamespace(lam=0), 0.5, 1e-7)
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])

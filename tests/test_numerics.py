@@ -70,6 +70,61 @@ def test_integrate_periodic_rejects_bad_tol():
         integrate_periodic(np.cos, tol=0.0)
 
 
+def _reference_estimate(f, panels):
+    """The reference estimate on panels panels, its grid built afresh."""
+    edges = np.linspace(0.0, 2.0 * np.pi, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    theta = mid[:, None] + half[:, None] * numerics._NODES
+    vals = np.broadcast_to(np.asarray(f(theta), dtype=complex), theta.shape)
+    dots = np.matmul(vals[:, None, :], numerics._WEIGHTS)[:, 0]
+    return np.sum(half * dots) / (2.0 * np.pi)
+
+
+# the least positive tol: half of it rounds to 0, so no estimate converges and
+# max_doublings = d leaves the estimate on 2^d panels as last_estimate
+_NEVER = 5e-324
+
+
+def _kinked(t):
+    return np.abs(np.sin((t - 1.0) / 2.0))
+
+
+def _bytes(z):
+    return np.complex128(z).tobytes()
+
+
+@pytest.mark.parametrize("f", [_kinked, lambda t: np.exp(np.sin(t) + 2j * t), lambda t: 2.0])
+def test_estimates_match_unmemoized_grids(f):
+    for doublings in range(9):
+        with pytest.raises(NonConvergenceError) as info:
+            integrate_periodic(f, tol=_NEVER, max_doublings=doublings)
+        assert _bytes(info.value.last_estimate) == _bytes(_reference_estimate(f, 2**doublings))
+    assert _bytes(integrate_periodic(np.cos)) == _bytes(_reference_estimate(np.cos, 2))
+
+
+def test_integrand_cannot_write_the_nodes():
+    def clobber(theta):
+        theta[:] = 0.0
+        return np.cos(theta)
+
+    for f in (clobber, lambda t: np.sin(t, out=t)):
+        with pytest.raises(ValueError):
+            integrate_periodic(f)
+    # later calls still get the rule's own nodes
+    for doublings in (0, 1):
+        with pytest.raises(NonConvergenceError) as info:
+            integrate_periodic(_kinked, tol=_NEVER, max_doublings=doublings)
+        assert _bytes(info.value.last_estimate) == _bytes(_reference_estimate(_kinked, 2**doublings))
+
+
+def test_grids_of_a_non_converging_run_are_not_kept():
+    with pytest.raises(NonConvergenceError):
+        integrate_periodic(_kinked, tol=_NEVER, max_doublings=8)
+    assert {1, 2, 64} <= set(numerics._GRIDS)
+    assert max(numerics._GRIDS) == 64
+
+
 def test_nonconvergence_carries_estimate():
     # a kinked integrand: the quadrature cannot hit 1e-14 in two doublings
     f = lambda t: np.abs(np.sin((t - 1.0) / 2.0))  # kink at an interior point

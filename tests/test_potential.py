@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcfloer import potential
@@ -196,6 +196,94 @@ def _bits(points):
 
 def _solver_bits(points):
     return _bits((c.y, c.residual, c.hessian_det) for c in points)
+
+
+def _reference_representatives(w):
+    """The reference dedupe, one candidate at a time: a point is kept unless
+    a point kept before it lies within DEDUPE_TOL (1 + max |kept point|)."""
+    reps = np.empty_like(w)
+    kept = []
+    for j, cand in enumerate(w):
+        rep = reps[:len(kept)]
+        diff = np.abs((cand.real - rep.real) + 1j * potential._wrap_angle(cand.imag - rep.imag))
+        scale = potential.DEDUPE_TOL * (1.0 + np.max(np.abs(rep), axis=1))
+        if not np.any(np.max(diff, axis=1) < scale):
+            reps[len(kept)] = cand
+            kept.append(j)
+    return kept
+
+
+@st.composite
+def _planted_clusters(draw):
+    """Canonical points in clusters. A point sits 0, 1, 2 or 3 steps from its
+    cluster's center along one coordinate, a step being 0.45, 0.55 or 1.0
+    times the center's dedupe scale: so chains a ~ b ~ c with a !~ c occur,
+    and points at the tolerance itself. Angles at or near +-pi wrap."""
+    n = draw(st.integers(1, 3))
+    coord = st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 2.0)
+    angle = st.sampled_from([np.pi, np.pi - 3e-7, -np.pi + 3e-7]) | st.floats(-np.pi, np.pi)
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        center = np.array([complex(draw(coord), draw(angle)) for _ in range(n)])
+        scale = potential.DEDUPE_TOL * (1.0 + np.max(np.abs(center)))
+        for _ in range(draw(st.integers(1, 6))):
+            step = np.zeros(n, complex)
+            step[draw(st.integers(0, n - 1))] = (
+                draw(st.sampled_from([1.0, -1.0, 1j, -1j]))
+                * draw(st.integers(0, 3)) * draw(st.sampled_from([0.45, 0.55, 1.0])) * scale
+            )
+            points.append(center + step)
+    return potential._canonical_w(np.array(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=_planted_clusters())
+@example(w=np.array([[0j], [potential.DEDUPE_TOL + 0j]]))  # at the tolerance: both kept
+def test_dedupe_per_representative_matches_per_candidate_loop(w):
+    for order in (w, w[::-1]):
+        assert potential._representatives(order) == _reference_representatives(order)
+
+
+def test_dedupe_chains_wraps_and_the_tolerance_itself():
+    s = potential.DEDUPE_TOL
+    assert potential._representatives(np.array([[0j], [0.6 * s], [1.2 * s]])) == [0, 2]
+    assert potential._representatives(np.array([[0j], [s + 0j]])) == [0, 1]
+    near_pi = np.array([[1j * (np.pi - 2e-7)], [1j * (-np.pi + 2e-7)]])
+    assert potential._representatives(near_pi) == [0]
+
+
+def _exponent_batches(E, rng):
+    """Batches for E: zero-heavy ones with signed zeros and equal
+    coordinates, and generic ones."""
+    n = E.shape[1]
+    pool = np.array([0.0, -0.0, 1.5, -1.5, 0.1, np.pi])
+    for _ in range(60):
+        m = rng.integers(1, 9)
+        yield pool[rng.integers(0, 6, (m, n))] + 1j * pool[rng.integers(0, 6, (m, n))]
+    yield rng.normal(size=(50, n)) + 1j * rng.normal(size=(50, n))
+
+
+def _pair_rows(rng, terms, n):
+    """Rows with at most one +1 and one -1, as build_potential makes them."""
+    E = np.zeros((terms, n))
+    for row in E:
+        plus, minus = rng.choice(n + 1, 2, replace=False)
+        row[plus:plus + 1] = 1.0
+        row[minus:minus + 1] = -1.0
+    return E
+
+
+def test_batched_exponents_equal_per_row_products():
+    # every exponent is one subtraction, so the two real products give each
+    # row the bytes of its own complex product w_i @ E.T, signed zeros too
+    rng = np.random.default_rng(13)
+    matrices = [build_potential(s.shape, s.profile(UNIT)).exponent_matrix() for s in SPACES.values()]
+    matrices += [_pair_rows(rng, rng.integers(1, 12), n) for n in (1, 3, 6) for _ in range(5)]
+    for E in matrices:
+        for w in _exponent_batches(E, rng):
+            want = np.array([w_i @ E.T for w_i in w])
+            assert potential._exponents(w, E).tobytes() == want.tobytes()
+            assert potential._exponents(w[0], E).tobytes() == want[0].tobytes()
 
 
 def test_find_critical_points_deterministic():
@@ -440,6 +528,41 @@ def test_grassmannian_closed_form(k, n):
 def test_grassmannian_chart_counts_beyond_the_registry(k, n, count):
     # the solver counts of Gr(2,7) and Gr(3,7)
     assert len(potential.grassmannian_critical_candidates(k, n, 1, 0)) == count
+
+
+def _reference_chart_roots(k, n):
+    """The reference chart roots, computed afresh as a list of 1-D arrays."""
+    phi = potential._cyclotomic(2 * n)
+    rects = [(c,) * r + (0,) * (k - r) for r in range(1, k + 1) for c in range(1, n - k + 1)]
+    return [np.exp(1j * np.pi * np.array(J) / n)
+            for J in itertools.combinations(range((k + 1) % 2, 2 * n, 2), k)
+            if not any(potential._alternant_vanishes(p, J, 2 * n, phi) for p in rects)]
+
+
+@pytest.mark.parametrize("name,k,n", [("Gr24", 2, 4), ("Gr25", 2, 5)])
+def test_chart_roots_computed_once_read_only_and_unchanged(monkeypatch, name, k, n):
+    roots = potential._chart_roots(k, n)
+    assert potential._chart_roots(k, n) is roots
+    assert all(not u.flags.writeable for u in roots)
+    with pytest.raises(ValueError):
+        roots[0][0] = 1.0
+
+    def bits(space):
+        cands = space.candidates(UNIT)
+        return ([np.array(c.coeffs).tobytes() for c in cands], [c.exps for c in cands],
+                [np.complex128(v).tobytes() for v in space.critical_values(UNIT, 0.55)])
+
+    got = bits(SPACES[name])
+    monkeypatch.setattr(potential, "_chart_roots", _reference_chart_roots)
+    assert got == bits(SPACES[name])
+
+
+def test_grassmannian_closed_forms_reject_a_profile_that_does_not_drop():
+    for a, b in ((0, 0), (-2, 0)):
+        with pytest.raises(ValueError, match="drop strictly"):
+            potential.grassmannian_critical_candidates(2, 4, a, b)
+        with pytest.raises(ValueError, match="drop strictly"):
+            potential.grassmannian_critical_values(2, 4, a, b, 0.5)
 
 
 def test_gr24_chart_excludes_exactly_the_opposite_pairs():
