@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .novikov import NovikovMatrix, NovikovSeries, as_fraction
+from .novikov import DEFAULT_TRUNCATION, NovikovMatrix, NovikovSeries, as_fraction
 from .numerics import integrate_periodic
 
 WINDING_SAMPLES = 4000  # points of R + {inf} on which a disk's winding is counted
@@ -393,14 +393,26 @@ def pair_series(K=40):
 # Floer differentials and modules
 
 
+def _below_truncation(valuation):
+    """Reject an entry whose leading term NovikovSeries would cut away,
+    which would turn the differential into 0."""
+    if valuation >= DEFAULT_TRUNCATION:
+        raise ValueError(
+            f"differential entry starts at T^{valuation}, at or above the "
+            f"series truncation T^{DEFAULT_TRUNCATION}"
+        )
+
+
 def m1_fl3(l1, l2):
     """Floer differential of the S^3 fiber on the basis (e0, e3):
     e3 -> (T^{l1} + T^{l2}) e0 (the + sign convention is fixed; the module
-    decomposition does not depend on it)."""
+    decomposition does not depend on it); raises ValueError when
+    min(l1, l2) reaches DEFAULT_TRUNCATION."""
     l1 = as_fraction(l1)
     l2 = as_fraction(l2)
     if l1 <= 0 or l2 <= 0:
         raise ValueError("l1, l2 must be positive")
+    _below_truncation(min(l1, l2))
     f = NovikovSeries(((l1, 1.0), (l2, 1.0)))
     z = NovikovSeries.zero()
     return NovikovMatrix([[z, f], [z, z]])
@@ -410,11 +422,12 @@ def m1b_gr24(lam, t, x):
     """Deformed Floer differential of the U(2) fiber L_t on the basis
     (e0, e1, e3, e1 e3): e3 -> f e0 and e1 e3 -> f e1 with
     f = e^x T^{lam + t} + e^{-x} T^{lam - t}; raises ValueError when e^x or
-    e^{-x} overflows."""
+    e^{-x} overflows or lam - |t| reaches DEFAULT_TRUNCATION."""
     lam = as_fraction(lam)
     t = as_fraction(t)
     if not -lam < t < lam:
         raise ValueError("need -lam < t < lam")
+    _below_truncation(lam - abs(t))
     if isinstance(x, BoundingCochain):
         x = x.x
     x = complex(x)
@@ -440,10 +453,12 @@ def delta_pair_gr24(lam):
 
     The coefficients are the closed forms; 2 pair_series(K), the disk-count
     quadrature summed over both disk classes, reproduces 16/(3 pi), which
-    verify check 06 holds to 1e-9."""
+    verify check 06 holds to 1e-9.  Raises ValueError when lam reaches
+    DEFAULT_TRUNCATION."""
     lam = as_fraction(lam)
     if lam <= 0:
         raise ValueError("lam must be positive")
+    _below_truncation(lam)
     coeff = 16.0 / (3.0 * np.pi)
     f1 = NovikovSeries(((lam, coeff),))
     f2 = NovikovSeries(((lam, 2.0 * coeff),))

@@ -555,13 +555,6 @@ def _side_to_json(side):
     return {"var": list(side)}
 
 
-def _side_from_json(data):
-    if "const" in data:
-        num, den = data["const"]
-        return Fraction(num, den)
-    return tuple(data["var"])
-
-
 def polytope_to_json(polytope, point=None, fiber=None):
     doc = {
         "shape": {"steps": list(polytope.shape.steps), "ambient": polytope.shape.ambient},
@@ -586,18 +579,3 @@ def polytope_to_json(polytope, point=None, fiber=None):
             "annotations": list(fiber.annotations),
         }
     return doc
-
-
-def polytope_from_json(doc):
-    shape = FlagShape(tuple(doc["shape"]["steps"]), doc["shape"]["ambient"])
-    profile = EigenProfile(tuple(Fraction(n, d) for n, d in doc["profile"]))
-    idx = tuple(tuple(p) for p in doc["index_set"])
-    ineqs = tuple(
-        GCInequality(
-            _side_from_json(iq["upper"]),
-            _side_from_json(iq["lower"]),
-            iq["facet"],
-        )
-        for iq in doc["inequalities"]
-    )
-    return GCPolytope(shape, profile, idx, ineqs)

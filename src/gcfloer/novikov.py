@@ -81,11 +81,6 @@ class NovikovSeries:
             return math.inf
         return self.terms[0][0]
 
-    @property
-    def leaves_lambda0(self):
-        """True when the series has a negative exponent (lies in Lambda \\ Lambda_0)."""
-        return bool(self.terms) and self.terms[0][0] < 0
-
     def leading_coefficient(self):
         if not self.terms:
             raise ZeroDivisionError("zero series has no leading coefficient")
@@ -162,21 +157,10 @@ class NovikovSeries:
                 result = result + power
         return result.scalar_mul(1.0 / c0).shift(-v)
 
-    def __call__(self, t0):
-        """Evaluate at a numeric T=t0 in (0,1)."""
-        return sum(c * (t0 ** float(e)) for e, c in self.terms)
-
     def to_lists(self):
         return [
             [e.numerator, e.denominator, c.real, c.imag] for e, c in self.terms
         ]
-
-    @classmethod
-    def from_lists(cls, data, truncation=DEFAULT_TRUNCATION):
-        return cls(
-            tuple((Fraction(num, den), complex(re, im)) for num, den, re, im in data),
-            truncation,
-        )
 
     def _coerce(self, other):
         if isinstance(other, NovikovSeries):
@@ -184,15 +168,6 @@ class NovikovSeries:
         if isinstance(other, (int, float, complex)):
             return NovikovSeries.monomial(0, other, self.truncation)
         return NotImplemented
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            coeff = f"({c.real:g}{c.imag:+g}i)" if c.imag else f"{c.real:g}"
-            parts.append(coeff if e == 0 else f"{coeff}*T^({e})")
-        return " + ".join(parts)
 
 
 @dataclass
@@ -208,12 +183,6 @@ class NovikovMatrix:
         self.entries = [
             [NovikovSeries(s.terms, trunc) for s in row] for row in self.entries
         ]
-
-    @classmethod
-    def zeros(cls, rows, cols, truncation=DEFAULT_TRUNCATION):
-        return cls(
-            [[NovikovSeries.zero(truncation) for _ in range(cols)] for _ in range(rows)]
-        )
 
     @property
     def rows(self):
@@ -254,9 +223,6 @@ class NovikovMatrix:
 
     def is_zero(self, tol=0.0):
         return all(s.is_zero(tol) for row in self.entries for s in row)
-
-    def copy(self):
-        return NovikovMatrix([[s for s in row] for row in self.entries])
 
     def to_lists(self):
         return [[s.to_lists() for s in row] for row in self.entries]
@@ -368,9 +334,6 @@ def module_presentation(d, two_step=False, ring="Lambda0"):
     vals, min_accepted, max_rejected = _smith_valuations(d, warnings)
     r = len(vals)
     torsion = tuple(sorted(v for v in vals if v > 0))
-    for e in torsion:
-        if e >= d.truncation:
-            raise ValueError("torsion exponent reaches the truncation level")
     if two_step:
         free = (d.rows - r) + (d.cols - r)
     else:

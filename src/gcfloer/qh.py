@@ -4,7 +4,8 @@ Grassmannians use the quantum Pieri rule for the hyperplane class sigma_1 on
 the partition basis; the full flag 3-space uses the quantum Chevalley rule
 on the Weyl-group basis with two quantum parameters.  Eigenvalues are
 computed numerically at specialized quantum parameters and compared with
-potential critical values by optimal bipartite matching.
+potential critical values by a threshold matching: a pairing with every
+distance below the tolerance.
 """
 
 import itertools
@@ -147,29 +148,45 @@ def fl3_c1_eigenvalues(q1_value, q2_value):
 
 
 def multiset_match(a, b, tol, allow_zero_padding=False):
-    """Optimal matching of two complex multisets.
+    """Pair two complex multisets so that every pair lies within tol.
 
     Returns (matched, pairing): pairing lists one index pair (i, j) per
-    entry, matching a[i] to b[j], and matched says whether every pair has
-    |a[i] - b[j]| < tol.  With allow_zero_padding the shorter list is
-    padded with zeros; a padded entry of a has index i >= len(a) (likewise
-    for b).
+    entry of a, in order of i, matching a[i] to b[j], and matched says
+    whether every pair has |a[i] - b[j]| < tol.  That is a perfect matching
+    of the threshold graph {(i, j) : |a[i] - b[j]| < tol}, found by
+    augmenting paths.  Tie rule: the a's go in index order, and each takes
+    its lowest-index free neighbour before it re-routes along an augmenting
+    path, so equal values pair in index order.  When matched is False the
+    unmatched a's pair with the unmatched b's in index order.  With
+    allow_zero_padding the shorter list is padded with zeros; a padded
+    entry of a has index i >= len(a) (likewise for b).
     """
-    # imported on first use: scipy.optimize takes about 0.5 s and 48 MB to
-    # load, which callers that never match multisets should not pay
-    from scipy.optimize import linear_sum_assignment
-
     a = [complex(v) for v in a]
     b = [complex(v) for v in b]
     if len(a) != len(b):
         if not allow_zero_padding:
             raise ValueError("multisets have different sizes")
-        while len(a) < len(b):
-            a.append(0.0 + 0.0j)
-        while len(b) < len(a):
-            b.append(0.0 + 0.0j)
-    cost = np.array([[abs(x - y) for y in b] for x in a])
-    rows, cols = linear_sum_assignment(cost)
-    ok = bool(np.all(cost[rows, cols] < tol))
-    pairing = [(int(i), int(j)) for i, j in zip(rows, cols)]
-    return ok, pairing
+        a += [0j] * (len(b) - len(a))
+        b += [0j] * (len(a) - len(b))
+    near = [[j for j, y in enumerate(b) if abs(x - y) < tol] for x in a]
+    owner = [None] * len(b)  # owner[j]: the index of a paired with b[j]
+
+    def augment(i, seen):
+        for j in near[i]:
+            if owner[j] is None:
+                owner[j] = i
+                return True
+        for j in near[i]:
+            if j not in seen:
+                seen.add(j)
+                if augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    for i in range(len(a)):
+        augment(i, set())
+    partner = {i: j for j, i in enumerate(owner) if i is not None}
+    spare = iter(j for j, i in enumerate(owner) if i is None)
+    pairing = [(i, partner[i] if i in partner else next(spare)) for i in range(len(a))]
+    return len(partner) == len(a), pairing

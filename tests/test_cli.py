@@ -31,8 +31,10 @@ def test_polytope_fl3_json_roundtrip(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["facet_count"] == 6
-    back = gc_core.polytope_from_json(doc)
-    assert back == gc_core.build_polytope(gc_core.fl3_shape(), gc_core.fl3_profile(1, 1))
+    want = gc_core.polytope_to_json(
+        gc_core.build_polytope(gc_core.fl3_shape(), gc_core.fl3_profile(1, 1))
+    )
+    assert doc == {**want, "space": "Fl3", "facet_count": 6}
 
 
 def test_polytope_gr24_diamond_report(capsys):
@@ -201,6 +203,27 @@ def test_floer_pair(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["decomposition"]["torsion"] == [[1, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("Gr24", "--lam", "10", "--t", "0"),  # exact answer: torsion [10, 10]
+    ("Gr24", "--lam", "10", "--pair"),  # exact answer: torsion [10, 10]
+    ("Fl3", "--l1", "12", "--l2", "11"),  # exact answer: torsion [11]
+])
+def test_floer_entry_at_truncation_is_invalid_input(capsys, argv):
+    # the leading term sat at or above T^10, was cut, and d = 0 came out as
+    # free rank with exit 0
+    code, out, err = run(capsys, "floer", *argv)
+    assert code == 2
+    assert out == ""
+    assert "truncation" in err
+
+
+def test_floer_cut_above_valuation_keeps_the_answer(capsys):
+    # only the T^11 term of T^11 + T^1 is cut, so the valuation stays 1
+    code, out, _ = run(capsys, "floer", "Gr24", "--lam", "6", "--t", "5")
+    assert code == 0
+    assert json.loads(out)["decomposition"] == {"free_rank": 0, "torsion": [[1, 1], [1, 1]]}
 
 
 def test_floer_gr25_is_invalid_input(capsys):

@@ -31,8 +31,6 @@ def test_series_normalization_and_valuation():
     assert s.terms == ((Fraction(1), 2.0 + 0j),)
     assert s.valuation() == Fraction(1)
     assert NovikovSeries.zero().valuation() == math.inf
-    assert NovikovSeries.monomial(-1).leaves_lambda0
-    assert not NovikovSeries.one().leaves_lambda0
 
 
 def test_truncation_drops_high_terms():
@@ -58,13 +56,6 @@ def test_invert_roundtrip():
     assert ((prod) - NovikovSeries.one()).is_zero(tol=1e-10)
     with pytest.raises(ZeroDivisionError):
         NovikovSeries.zero().invert()
-
-
-def test_evaluation_and_roundtrip():
-    a = NovikovSeries(((Fraction(1, 2), 2.0), (1, -1j)))
-    t0 = 0.7
-    assert abs(a(t0) - (2.0 * t0**0.5 - 1j * t0)) < 1e-15
-    assert NovikovSeries.from_lists(a.to_lists()) == a
 
 
 def test_scalar_and_numeric_coercion():
@@ -375,7 +366,7 @@ def test_pivot_decision_margins(eps, free_rank, torsion):
 
 
 def test_pivot_decision_margins_without_pivots():
-    dec = module_presentation(NovikovMatrix.zeros(2, 2))
+    dec = module_presentation(_mat([[(0, 0), (0, 0)], [(0, 0), (0, 0)]]))
     assert dec.min_pivot_coefficient == math.inf
     assert dec.max_rejected_pivot_coefficient == 0.0
 

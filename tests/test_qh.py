@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from gcfloer import gc_core
 from gcfloer.qh import (
@@ -95,10 +94,8 @@ def test_c1_eigenvalues_grassmannian_closed_form(k, n):
     roots = ((-1) ** (k + 1) * q + 0j) ** (1 / n) * np.exp(2j * np.pi * np.arange(n) / n)
     want = np.array([n * sum(sub) for sub in itertools.combinations(roots, k)])
     got = c1_eigenvalues_grassmannian(k, n, q)
-    cost = np.abs(np.subtract.outer(got, want))
-    rows, cols = linear_sum_assignment(cost)
     assert len(got) == len(want)
-    assert cost[rows, cols].max() < 1e-10
+    assert multiset_match(got, want, 1e-10)[0]
 
 
 def test_fl3_quantum_parameters():
@@ -120,6 +117,36 @@ def test_multiset_match():
         multiset_match([1.0], [1.0, 2.0], 1e-9)
     ok, _ = multiset_match([1.0], [1.0, 0.0], 1e-9, allow_zero_padding=True)
     assert ok
+
+
+def test_multiset_match_finds_a_pairing_min_sum_misses():
+    # every distance of (0, 1), (1, 2), (2, 0) is at most 5.84; the min-sum
+    # assignment (0, 2), (1, 1), (2, 0) has the smaller total but a 6.40
+    a = [2 - 2j, 1 - 1j, -3j]
+    b = [-3 + 2j, -3 + 1j, -2 + 3j]
+    ok, pairing = multiset_match(a, b, 6.0)
+    assert ok
+    assert all(abs(a[i] - b[j]) < 6.0 for i, j in pairing)
+
+
+def test_multiset_match_pairs_equal_values_in_index_order():
+    # re-routing before taking a free neighbour would give (0, 1), (2, 0)
+    ok, pairing = multiset_match([1, 1j, 1], [1, 1, 1j], 1e-9)
+    assert ok and pairing == [(0, 0), (1, 2), (2, 1)]
+    # values equal up to rounding pair in index order too, not by the noise
+    ok, pairing = multiset_match([1, 1 + 2e-16], [1 + 2e-16, 1], 1e-9)
+    assert ok and pairing == [(0, 0), (1, 1)]
+
+
+def test_multiset_match_without_perfect_matching_uses_each_index_once():
+    # a[0] and a[1] both want b[0] only; a[2] is near nothing
+    ok, pairing = multiset_match([0, 0, 5], [0, 1, 2], 0.5)
+    assert not ok
+    assert pairing == [(0, 0), (1, 1), (2, 2)]
+    ok, pairing = multiset_match([9, 1, 1], [1, 1], 0.5, allow_zero_padding=True)
+    assert not ok
+    assert sorted(i for i, _ in pairing) == [0, 1, 2]
+    assert sorted(j for _, j in pairing) == [0, 1, 2]
 
 
 def test_multiset_match_padded_indices_gr24():
