@@ -170,7 +170,12 @@ def cmd_critical(args):
 
 def cmd_qh(args):
     space = SPACES[args.space]
-    eigs = space.c1_eigenvalues(tuple(float(getattr(args, f)) for f in space.q_flags))
+    own = ", ".join(f"--{f}" for f in space.q_flags)
+    for flag in ("q", "q1", "q2"):
+        if flag not in space.q_flags and getattr(args, flag) is not None:
+            raise ValueError(f"{args.space} takes {own}, not --{flag}")
+    q = (getattr(args, f) for f in space.q_flags)
+    eigs = space.c1_eigenvalues(tuple(1.0 if v is None else float(v) for v in q))
     doc = {
         "space": args.space,
         "eigenvalues": [_complex_pair(v) for v in eigs],
@@ -289,9 +294,9 @@ def build_parser():
 
     p = sub.add_parser("qh", help="c1 eigenvalues; CSV columns: re, im")
     p.add_argument("space", choices=tuple(SPACES))
-    p.add_argument("--q", type=rational, default=Fraction(1), help="Grassmannian q")
-    p.add_argument("--q1", type=rational, default=Fraction(1), help="Fl3 q1")
-    p.add_argument("--q2", type=rational, default=Fraction(1), help="Fl3 q2")
+    p.add_argument("--q", type=rational, help="Grassmannian q (default 1)")
+    p.add_argument("--q1", type=rational, help="Fl3 q1 (default 1)")
+    p.add_argument("--q2", type=rational, help="Fl3 q2 (default 1)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_qh)
 

@@ -405,9 +405,13 @@ def _below_truncation(valuation):
 
 def m1_fl3(l1, l2):
     """Floer differential of the S^3 fiber on the basis (e0, e3):
-    e3 -> (T^{l1} + T^{l2}) e0 (the + sign convention is fixed; the module
-    decomposition does not depend on it); raises ValueError when
-    min(l1, l2) reaches DEFAULT_TRUNCATION."""
+    e3 -> (T^{l1} + T^{l2}) e0; raises ValueError when min(l1, l2) reaches
+    DEFAULT_TRUNCATION.
+
+    The + sign comes from the orientations of the disk classes beta1 and
+    beta2, and at l1 = l2 it decides the answer: 2 T^{l1} gives torsion
+    [l1], while T^{l1} - T^{l1} = 0 would give a free module of rank 2.
+    For l1 != l2 the entry has valuation min(l1, l2) with either sign."""
     l1 = as_fraction(l1)
     l2 = as_fraction(l2)
     if l1 <= 0 or l2 <= 0:
@@ -428,8 +432,6 @@ def m1b_gr24(lam, t, x):
     if not -lam < t < lam:
         raise ValueError("need -lam < t < lam")
     _below_truncation(lam - abs(t))
-    if isinstance(x, BoundingCochain):
-        x = x.x
     x = complex(x)
     with np.errstate(over="ignore", invalid="ignore"):
         hol = np.exp(x), np.exp(-x)
@@ -484,17 +486,3 @@ def displacement_energy_bound(lam, t):
     if abs(t) == lam:
         return 0.0
     return (2.0 * lam / math.pi) * math.atan(math.sqrt((lam**2 - t**2) / t**2))
-
-
-@dataclass(frozen=True)
-class BoundingCochain:
-    """b = x e1 with the representative of x chosen modulo 2 pi i."""
-
-    x: complex
-
-    def __post_init__(self):
-        x = complex(self.x)
-        im = math.remainder(x.imag, 2.0 * math.pi)
-        if im <= -math.pi:
-            im += 2.0 * math.pi
-        object.__setattr__(self, "x", complex(x.real, im))

@@ -1,11 +1,13 @@
-"""Quantum multiplication by c_1 on small quantum cohomology.
+"""Quantum multiplication by c_1 on the small quantum cohomology of a flag manifold.
 
-Grassmannians use the quantum Pieri rule for the hyperplane class sigma_1 on
-the partition basis; the full flag 3-space uses the quantum Chevalley rule
-on the Weyl-group basis with two quantum parameters.  Eigenvalues are
-computed numerically at specialized quantum parameters and compared with
-potential critical values by a threshold matching: a pairing with every
-distance below the tolerance.
+One rule covers every partial flag F(n_1, ..., n_r; n): the quantum Chevalley
+formula of Fomin-Gelfand-Postnikov ("Quantum Schubert polynomials", JAMS
+1997), in the form Fulton-Woodward give for G/P ("On the quantum product of
+Schubert classes", J. Algebraic Geom. 2004, Thm 10.1).  It acts on the
+Schubert basis indexed by minimal coset representatives, with one quantum
+parameter q_j per step n_j.  Eigenvalues are computed numerically at
+specialized quantum parameters and compared with potential critical values
+by a threshold matching: a pairing with every distance below the tolerance.
 """
 
 import itertools
@@ -13,16 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gc_core
 from .numerics import complex_eigenvalues
-
-
-def partitions_in_box(k, m):
-    """All partitions with at most k parts, each at most m, sorted."""
-    result = []
-    for lam in itertools.product(range(m + 1), repeat=k):
-        if all(lam[i] >= lam[i + 1] for i in range(k - 1)):
-            result.append(tuple(p for p in lam if p > 0))
-    return sorted(set(result), key=lambda p: (sum(p), p))
 
 
 @dataclass(frozen=True)
@@ -50,101 +44,62 @@ class QHMatrix:
         return out
 
 
-def sigma1_matrix(k, n):
-    """Quantum Pieri matrix of sigma_1 on QH*(Gr(k, n)).
+def c1_matrix(shape):
+    """Quantum Chevalley matrix of c_1 on QH*(F(n_1, ..., n_r; n)).
 
-    Classical part adds one box; the quantum part contributes
-    q * sigma_{(lam_2 - 1, ..., lam_k - 1)} exactly when lam_1 = n - k and
-    all k parts are >= 1.
+    The basis W^P is the permutations w of 1..n that increase on each block
+    (n_{j-1}, n_j] of positions, sorted by (length, each block's entries in
+    descending order): the partition order for Gr(k, n), the lexicographic
+    order for Fl(3).  For positions a < b in different blocks, t_ab swaps
+    them, m_ab = sum of n_{j+1} - n_{j-1} over the steps a <= n_j < b, and
+    the q-degree d_ab has a 1 at each of those steps.  Column w gets m_ab at
+    w t_ab when l(w t_ab) = l(w) + 1, and otherwise m_ab q^d_ab at the
+    block-sorted floor(w t_ab) when its length is l(w) + 1 - m_ab.
     """
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
-    m = n - k
-    basis = tuple(partitions_in_box(k, m))
-    pos = {lam: i for i, lam in enumerate(basis)}
-    dim = len(basis)
-    classical = np.zeros((dim, dim), dtype=int)
-    quantum = np.zeros((dim, dim), dtype=int)
-    for j, lam in enumerate(basis):
-        padded = list(lam) + [0] * (k - len(lam))
-        for i in range(k):
-            new = padded.copy()
-            new[i] += 1
-            if new[i] > m:
-                continue
-            if i > 0 and new[i] > new[i - 1]:
-                continue
-            mu = tuple(p for p in new if p > 0)
-            classical[pos[mu], j] += 1
-        if len(lam) == k and lam[0] == m and min(lam) >= 1:
-            mu = tuple(p - 1 for p in lam[1:] if p - 1 > 0)
-            quantum[pos[mu], j] += 1
-    return QHMatrix(basis, {(0,): classical, (1,): quantum})
+    steps, levels = shape.steps, shape.levels
+    blocks = list(zip(levels, levels[1:]))
+    reps = [()]
+    for lo, hi in blocks:
+        reps = [w + c for w in reps for c in itertools.combinations(
+            sorted(set(range(1, shape.ambient + 1)).difference(w)), hi - lo)]
 
+    def length(w):
+        return sum(x > y for x, y in itertools.combinations(w, 2))
 
-def c1_eigenvalues_grassmannian(k, n, q_value):
-    """Eigenvalues of quantum multiplication by c_1 = n sigma_1."""
-    mat = n * sigma1_matrix(k, n).at(q_value)
-    return complex_eigenvalues(mat)
-
-
-def _s3_elements():
-    return sorted(itertools.permutations((1, 2, 3)))
-
-
-def _length(w):
-    return sum(1 for i in range(3) for j in range(i + 1, 3) if w[i] > w[j])
-
-
-def _apply_transposition(w, a, b):
-    """Right multiplication w t_ab (swap the entries at positions a, b)."""
-    w = list(w)
-    w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
-    return tuple(w)
-
-
-def fl3_c1_matrix():
-    """Quantum Chevalley matrix of c_1 = 2 (sigma_{s1} + sigma_{s2}) on
-    QH*(Fl(3)) over the Weyl-group basis, with parameters (q1, q2).
-
-    For the simple reflection s_i, sigma_{s_i} * sigma_w sums sigma_{w t_ab}
-    over a <= i < b with l(w t_ab) = l(w) + 1 (classical part) plus
-    q_a ... q_{b-1} sigma_{w t_ab} when l(w t_ab) = l(w) - (2(b-a) - 1).
-    """
-    basis = tuple(_s3_elements())
+    basis = tuple(sorted(
+        reps, key=lambda w: (length(w), [w[lo:hi][::-1] for lo, hi in blocks])))
     pos = {w: i for i, w in enumerate(basis)}
-    dim = len(basis)
-    # degree tuples are (d1, d2) for q1^d1 q2^d2
+    pairs = []
+    for a, b in itertools.combinations(range(shape.ambient), 2):
+        degree = tuple(int(a < s <= b) for s in steps)
+        if any(degree):
+            m = sum(levels[j + 1] - levels[j - 1] for j, d in enumerate(degree, 1) if d)
+            pairs.append((a, b, degree, m))
     coeffs = {}
-
-    def add(degree, row, col, value):
-        if degree not in coeffs:
-            coeffs[degree] = np.zeros((dim, dim), dtype=int)
-        coeffs[degree][row, col] += value
-
-    transpositions = {
-        (1, 2): (1, 0),
-        (2, 3): (0, 1),
-        (1, 3): (1, 1),
-    }
-    for i in (1, 2):  # the two simple reflections
-        for w in basis:
-            lw = _length(w)
-            for (a, b), qdeg in transpositions.items():
-                if not a <= i < b:
+    for col, w in enumerate(basis):
+        lw = length(w)
+        for a, b, degree, m in pairs:
+            wt = list(w)
+            wt[a], wt[b] = wt[b], wt[a]
+            if length(wt) == lw + 1:
+                row, deg = pos[tuple(wt)], (0,) * len(steps)
+            else:
+                floor = sum((tuple(sorted(wt[lo:hi])) for lo, hi in blocks), ())
+                if length(floor) != lw + 1 - m:
                     continue
-                wt = _apply_transposition(w, a, b)
-                lwt = _length(wt)
-                if lwt == lw + 1:
-                    add((0, 0), pos[wt], pos[w], 2)
-                elif lwt == lw - (2 * (b - a) - 1):
-                    add(qdeg, pos[wt], pos[w], 2)
+                row, deg = pos[floor], degree
+            if deg not in coeffs:
+                coeffs[deg] = np.zeros((len(basis), len(basis)), dtype=int)
+            coeffs[deg][row, col] += m
     return QHMatrix(basis, coeffs)
 
 
+def c1_eigenvalues_grassmannian(k, n, q_value):
+    return complex_eigenvalues(c1_matrix(gc_core.grassmannian_shape(k, n)).at(q_value))
+
+
 def fl3_c1_eigenvalues(q1_value, q2_value):
-    mat = fl3_c1_matrix().at(q1_value, q2_value)
-    return complex_eigenvalues(mat)
+    return complex_eigenvalues(c1_matrix(gc_core.fl3_shape()).at(q1_value, q2_value))
 
 
 def multiset_match(a, b, tol, allow_zero_padding=False):

@@ -398,11 +398,25 @@ def check_geometry(fast=False):
 # 9. oracle equivalence
 
 
+def partitions_in_box(k, m):
+    """All partitions with at most k parts, each at most m, sorted."""
+    result = []
+    for lam in itertools.product(range(m + 1), repeat=k):
+        if all(lam[i] >= lam[i + 1] for i in range(k - 1)):
+            result.append(tuple(p for p in lam if p > 0))
+    return sorted(set(result), key=lambda p: (sum(p), p))
+
+
+def coset_partition(w, k):
+    """Partition of a Gr(k, n) coset representative: lam_i = w_{k+1-i} - (k+1-i)."""
+    return tuple(p for p in (w[j] - j - 1 for j in reversed(range(k))) if p)
+
+
 def _rimhook_sigma1(k, n):
     """Quantum Pieri for sigma_1 computed by n-rim-hook reduction on
-    beta-numbers (independent of the add-one-box + quantum-term rule)."""
+    beta-numbers (independent of the quantum Chevalley rule in qh)."""
     m = n - k
-    basis = qh.partitions_in_box(k, m)
+    basis = partitions_in_box(k, m)
     pos = {lam: i for i, lam in enumerate(basis)}
     dim = len(basis)
     classical = np.zeros((dim, dim), dtype=int)
@@ -490,6 +504,20 @@ def _monomial_oracle(rows, cols, entries, truncation=Fraction(10)):
     return free, torsion
 
 
+def rimhook_mismatches(k, n):
+    """Where qh.c1_matrix of Gr(k, n) differs from n times the rim-hook oracle."""
+    mat = qh.c1_matrix(gc_core.grassmannian_shape(k, n))
+    basis, classical, quantum = _rimhook_sigma1(k, n)
+    if tuple(coset_partition(w, k) for w in mat.basis) != tuple(basis):
+        return [f"Gr({k},{n}): basis ordering differs"]
+    problems = []
+    if not np.array_equal(mat.coeffs[(0,)], n * classical):
+        problems.append(f"Gr({k},{n}): classical parts differ")
+    if not np.array_equal(mat.coeffs[(1,)], n * quantum):
+        problems.append(f"Gr({k},{n}): quantum parts differ")
+    return problems
+
+
 def check_oracles(fast=False):
     problems = []
     # module_presentation vs the determinantal-divisor oracle
@@ -518,17 +546,9 @@ def check_oracles(fast=False):
                 f"oracle ({free}, {torsion})"
             )
             break
-    # quantum Pieri vs rim-hook oracle
+    # quantum Chevalley vs rim-hook oracle
     for k, n in ((2, 4), (2, 5)):
-        mat = qh.sigma1_matrix(k, n)
-        basis, classical, quantum = _rimhook_sigma1(k, n)
-        if tuple(basis) != mat.basis:
-            problems.append(f"Gr({k},{n}): basis ordering differs")
-            continue
-        if not np.array_equal(mat.coeffs[(0,)], classical):
-            problems.append(f"Gr({k},{n}): classical parts differ")
-        if not np.array_equal(mat.coeffs[(1,)], quantum):
-            problems.append(f"Gr({k},{n}): quantum parts differ")
+        problems += rimhook_mismatches(k, n)
     if problems:
         return _result("09-oracles", False, "; ".join(problems))
     return _result(

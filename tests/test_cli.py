@@ -116,6 +116,21 @@ def test_qh_gr24_double_zero(capsys):
     assert np.abs(np.array(eigs) - [-r, -r * 1j, 0, 0, r * 1j, r]).max() < 1e-9
 
 
+@pytest.mark.parametrize("argv", [("Fl3", "--q", "1/2"), ("Gr24", "--q1", "1/2"),
+                                  ("Gr25", "--q2", "3")])
+def test_qh_rejects_a_flag_of_another_space(capsys, argv):
+    code, out, err = run(capsys, "qh", *argv)
+    assert code == 2 and out == ""
+    assert f"not {argv[1]}" in err
+
+
+def test_qh_unset_own_flags_default_to_one(capsys):
+    for short, full in ((("Fl3",), ("Fl3", "--q1", "1", "--q2", "1")),
+                        (("Fl3", "--q2", "1/3"), ("Fl3", "--q1", "1", "--q2", "1/3")),
+                        (("Gr25",), ("Gr25", "--q", "1"))):
+        assert run(capsys, "qh", *short) == run(capsys, "qh", *full)
+
+
 def test_match_subcommands(capsys):
     for args in (
         ("match", "Gr25", "--lam", "1", "--T0", "3/5"),
@@ -177,6 +192,15 @@ def test_floer_fl3(capsys):
     doc = json.loads(out)
     assert doc["decomposition"] == {"free_rank": 0, "torsion": [[3, 10]]}
     assert doc["lambda_rank"] == 0
+
+
+def test_floer_fl3_equal_weights(capsys):
+    # the + sign of m1_fl3 makes the entry 2T, not 0
+    code, out, _ = run(capsys, "floer", "Fl3", "--l1", "1", "--l2", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["entries"] == [[[], [[1, 1, 2.0, 0.0]]], [[], []]]
+    assert doc["decomposition"] == {"free_rank": 0, "torsion": [[1, 1]]}
 
 
 def test_floer_gr24_lambda_free_rank(capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gcfloer import floer
 from gcfloer.floer import (
-    BoundingCochain,
     delta_pair_gr24,
     disk_area,
     displacement_energy_bound,
@@ -24,7 +23,7 @@ from gcfloer.floer import (
     pair_integral,
     projective_equal,
 )
-from gcfloer.novikov import module_presentation
+from gcfloer.novikov import NovikovMatrix, NovikovSeries, module_presentation
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +205,17 @@ def test_m1_fl3_exact_torsion():
         m1_fl3(-1, 1)
 
 
+def test_m1_fl3_sign_decides_equal_weights():
+    # at l1 = l2 the + sign gives 2 T e3 -> e0 and torsion [1]; the other
+    # sign would cancel the entry and leave a free module of rank 2
+    dec = module_presentation(m1_fl3(1, 1))
+    assert dec.free_rank == 0 and dec.torsion_exponents == (Fraction(1),)
+    z = NovikovSeries.zero()
+    minus = NovikovSeries(((Fraction(1), 1.0), (Fraction(1), -1.0)))
+    dec = module_presentation(NovikovMatrix([[z, minus], [z, z]]))
+    assert dec.free_rank == 2 and not dec.torsion_exponents
+
+
 def test_m1b_gr24_squares_to_zero_and_decomposes():
     d = m1b_gr24(1, Fraction(1, 2), 0.0)
     assert (d @ d).is_zero()
@@ -225,7 +235,7 @@ def test_m1b_gr24_rejects_overflowing_holonomy(x):
 
 
 def test_m1b_gr24_unobstructed_at_critical_b():
-    for x in (0.5j * np.pi, BoundingCochain(-0.5j * np.pi)):
+    for x in (0.5j * np.pi, -0.5j * np.pi):
         d = m1b_gr24(1, 0, x)
         assert d.is_zero(tol=1e-14)
         dec = module_presentation(d)
@@ -259,9 +269,3 @@ def test_displacement_energy_bound_profile():
     with pytest.raises(ValueError):
         displacement_energy_bound(1.0, 2.0)
 
-
-def test_bounding_cochain_canonical_representative():
-    b = BoundingCochain(1.0 + 7j)
-    assert -np.pi < b.x.imag <= np.pi
-    assert abs(b.x.real - 1.0) < 1e-15
-    assert BoundingCochain(1j * np.pi).x.imag == pytest.approx(np.pi)

@@ -4,15 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gcfloer import gc_core
-from gcfloer.qh import (
-    c1_eigenvalues_grassmannian,
-    fl3_c1_matrix,
-    multiset_match,
-    partitions_in_box,
-    sigma1_matrix,
-)
+from gcfloer import gc_core, potential
+from gcfloer.numerics import complex_eigenvalues
+from gcfloer.qh import c1_eigenvalues_grassmannian, c1_matrix, multiset_match
 from gcfloer.spaces import SPACES, UNIT
+from gcfloer.verify import coset_partition, partitions_in_box, rimhook_mismatches
+
+
+def sigma1_columns(k, n):
+    """c1 / n on Gr(k, n), with rows and columns looked up by partition."""
+    mat = c1_matrix(gc_core.grassmannian_shape(k, n))
+    pos = {coset_partition(w, k): i for i, w in enumerate(mat.basis)}
+    classical, quantum = mat.coeffs[(0,)], mat.coeffs[(1,)]
+    assert not (classical % n).any() and not (quantum % n).any()
+    return pos, classical // n, quantum // n
 
 
 def test_partitions_in_box():
@@ -21,10 +26,15 @@ def test_partitions_in_box():
     assert len(partitions_in_box(1, 4)) == 5
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_c1_matrix_matches_rimhook_oracle(n):
+    # n sigma_1 by n-rim-hook reduction, basis in partition order
+    for k in range(1, n):
+        assert rimhook_mismatches(k, n) == []
+
+
 def test_sigma1_matrix_gr24_columns():
-    mat = sigma1_matrix(2, 4)
-    pos = {lam: i for i, lam in enumerate(mat.basis)}
-    classical, quantum = mat.coeffs[(0,)], mat.coeffs[(1,)]
+    pos, classical, quantum = sigma1_columns(2, 4)
     # sigma_1 . sigma_() = sigma_(1)
     assert classical[pos[(1,)], pos[()]] == 1 and classical[:, pos[()]].sum() == 1
     # sigma_1 . sigma_(2,1) = sigma_(2,2) + q sigma_()
@@ -37,9 +47,7 @@ def test_sigma1_matrix_gr24_columns():
 
 
 def test_sigma1_matrix_gr25_quantum_column():
-    mat = sigma1_matrix(2, 5)
-    pos = {lam: i for i, lam in enumerate(mat.basis)}
-    quantum = mat.coeffs[(1,)]
+    pos, _, quantum = sigma1_columns(2, 5)
     # sigma_1 . sigma_(3,3) = q sigma_(2) + (classical part)
     assert quantum[pos[(2,)], pos[(3, 3)]] == 1
     assert quantum[pos[(1,)], pos[(3, 2)]] == 1
@@ -49,16 +57,16 @@ def test_sigma1_matrix_gr25_quantum_column():
 
 def test_sigma1_matrix_bounds():
     with pytest.raises(ValueError):
-        sigma1_matrix(0, 4)
+        c1_matrix(gc_core.FlagShape((0,), 4))
     with pytest.raises(ValueError):
-        sigma1_matrix(4, 4)
+        c1_matrix(gc_core.FlagShape((4,), 4))
     # no cap on n: Gr(3,7) has the C(7,3) = 35 Schubert classes
-    assert sigma1_matrix(3, 7).dim == 35
+    assert c1_matrix(gc_core.grassmannian_shape(3, 7)).dim == 35
 
 
 def test_classical_limit_is_nilpotent():
     for k, n in ((2, 4), (2, 5), (1, 3)):
-        m = sigma1_matrix(k, n).at(0.0)
+        m = c1_matrix(gc_core.grassmannian_shape(k, n)).at(0.0)
         assert np.abs(np.linalg.matrix_power(m, m.shape[0])).max() < 1e-12
 
 
@@ -73,7 +81,7 @@ def test_c1_eigenvalues_gr24_structure():
 
 
 def test_fl3_c1_matrix_structure():
-    mat = fl3_c1_matrix()
+    mat = c1_matrix(gc_core.fl3_shape())
     # c1 . sigma_id = 2 sigma_{s1} + 2 sigma_{s2}
     pos = {w: i for i, w in enumerate(mat.basis)}
     col = pos[(1, 2, 3)]
@@ -84,6 +92,62 @@ def test_fl3_c1_matrix_structure():
     # at q = 0 multiplication by c1 is nilpotent
     m0 = mat.at(0.0, 0.0)
     assert np.abs(np.linalg.matrix_power(m0, 6)).max() < 1e-12
+
+
+def test_fl3_c1_matrix_reference():
+    # the hand-written Fl(3) Chevalley table the general rule replaced
+    basis = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
+    want = {
+        (0, 0): [[0, 0, 0, 0, 0, 0],
+                 [2, 0, 0, 0, 0, 0],
+                 [2, 0, 0, 0, 0, 0],
+                 [0, 4, 2, 0, 0, 0],
+                 [0, 2, 4, 0, 0, 0],
+                 [0, 0, 0, 2, 2, 0]],
+        (1, 0): [[0, 0, 2, 0, 0, 0],
+                 [0, 0, 0, 0, 2, 0],
+                 [0, 0, 0, 0, 0, 0],
+                 [0, 0, 0, 0, 0, 2],
+                 [0, 0, 0, 0, 0, 0],
+                 [0, 0, 0, 0, 0, 0]],
+        (0, 1): [[0, 2, 0, 0, 0, 0],
+                 [0, 0, 0, 0, 0, 0],
+                 [0, 0, 0, 2, 0, 0],
+                 [0, 0, 0, 0, 0, 0],
+                 [0, 0, 0, 0, 0, 2],
+                 [0, 0, 0, 0, 0, 0]],
+        (1, 1): [[0, 0, 0, 0, 0, 4],
+                 [0, 0, 0, 0, 0, 0],
+                 [0, 0, 0, 0, 0, 0],
+                 [0, 0, 0, 0, 0, 0],
+                 [0, 0, 0, 0, 0, 0],
+                 [0, 0, 0, 0, 0, 0]],
+    }
+    mat = c1_matrix(gc_core.fl3_shape())
+    assert mat.basis == basis
+    assert set(mat.coeffs) == set(want)
+    for degree, rows in want.items():
+        assert np.array_equal(mat.coeffs[degree], rows)
+
+
+@pytest.mark.parametrize("steps,blocks,n_values,dim", [
+    ((1, 2, 3), (3, 1, 0, -1), 24, 24),  # Fl(4)
+    ((1, 2), (2, 1, 0), 12, 12),  # F(1,2;4)
+    ((1, 3), (2, 1, 0), 9, 12),  # F(1,3;4): 3 zero eigenvalues, no critical point
+])
+def test_c1_eigenvalues_match_critical_values_beyond_the_registry(steps, blocks, n_values, dim):
+    shape = gc_core.FlagShape(steps, 4)
+    profile = gc_core.EigenProfile.from_blocks(shape, blocks)
+    T0 = 0.5
+    po = potential.build_potential(shape, profile)
+    points = potential.find_critical_points(po, potential.SolverConfig(T0=T0, starts=600))
+    values = [potential.evaluate(po, c.numeric_at(T0), T0) for c in points]
+    q = [T0 ** float(profile.value(s) - profile.value(s + 1)) for s in steps]
+    eigs = complex_eigenvalues(c1_matrix(shape).at(*q))
+    assert len(values) == n_values and len(eigs) == dim
+    ok, pairing = multiset_match(values, eigs, 1e-7, allow_zero_padding=True)
+    assert ok
+    assert all(abs(eigs[j]) < 1e-9 for i, j in pairing if i >= len(values))
 
 
 @pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (2, 5), (2, 6), (3, 6), (2, 7), (3, 7)])
