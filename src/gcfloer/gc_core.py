@@ -9,13 +9,13 @@ forces to be constant are dropped, and the remaining N entries (N the
 complex dimension) are ordered by level k descending, then i ascending.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .novikov import as_fraction
-from .numerics import check_hermitian, hermitian_eigenvalues
+from .numerics import hermitian_eigenvalues
 
 GC_TOL = 1e-8  # gap at which two pattern values, or a point and a facet, count as equal
 
@@ -214,6 +214,17 @@ class GCPolytope:
     profile: EigenProfile
     index: tuple  # the index set: (i, k) pairs
     inequalities: tuple
+    # upper - lower = coeffs @ u + consts, one row per inequality, in floats
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    consts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = [ineq.affine(self.index) for ineq in self.inequalities]
+        coeffs = np.array([r for r, _ in rows]).reshape(len(rows), len(self.index))
+        consts = np.array([c for _, c in rows])
+        coeffs.flags.writeable = consts.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "consts", consts)
 
 
 def _entry_or_const(shape, profile, i, k):
@@ -294,17 +305,11 @@ def contains(polytope, u):
     """Membership test; returns (bool, list of active inequality indices)."""
     if not isinstance(u, GCPoint):
         u = GCPoint(tuple(u), polytope.index)
-    vec = u.as_array()
-    inside = True
-    active = []
-    for j, ineq in enumerate(polytope.inequalities):
-        coeffs, const = ineq.affine(polytope.index)
-        slack = float(coeffs @ vec + const)
-        if slack < -GC_TOL:
-            inside = False
-        elif abs(slack) <= GC_TOL:
-            active.append(j)
-    return inside, active
+    # each row has at most two nonzero entries, both +-1, so every slack is
+    # exact up to one rounding and does not depend on the summation order
+    slack = polytope.coeffs @ u.as_array() + polytope.consts
+    inside = not np.any(slack < -GC_TOL)
+    return inside, np.flatnonzero(np.abs(slack) <= GC_TOL).tolist()
 
 
 def face_dimension(polytope, u):
@@ -314,10 +319,7 @@ def face_dimension(polytope, u):
         raise ValueError("point is not in the polytope")
     if not active:
         return len(polytope.index)
-    normals = np.array(
-        [polytope.inequalities[j].affine(polytope.index)[0] for j in active]
-    )
-    rank = np.linalg.matrix_rank(normals, tol=1e-10)
+    rank = np.linalg.matrix_rank(polytope.coeffs[active], tol=1e-10)
     return len(polytope.index) - rank
 
 
@@ -361,11 +363,11 @@ def detect_diamonds(shape, profile, u):
 
 def gc_map(x, shape, profile):
     """Gelfand-Cetlin map: eigenvalues of upper-left submatrices of x."""
-    x = check_hermitian(x)
+    spec = hermitian_eigenvalues(x)  # checks that x is square and Hermitian
+    x = np.asarray(x, dtype=complex)
     n = shape.ambient
     if x.shape[0] != n:
         raise ValueError("matrix size does not match the ambient dimension")
-    spec = hermitian_eigenvalues(x)
     target = [float(v) for v in profile.values]
     for got, want in zip(spec, target):
         if abs(got - want) > GC_TOL:

@@ -5,8 +5,13 @@ HERMITIAN_TOL) and hand the work to LAPACK through numpy.linalg; what they
 add is a deterministic output order that callers and printed output rely
 on.  integrate_periodic is adaptive composite Gauss-Legendre for integrals
 of smooth periodic functions over [0, 2*pi]; its integrand receives an
-array of nodes and returns the values at all of them.
+array of nodes and returns the values at all of them.  uniform_streams
+draws, for many seeds [seed, i] at once, the doubles numpy's default_rng
+would give.
 """
+
+import functools
+import operator
 
 import numpy as np
 
@@ -94,32 +99,54 @@ def _grid(panels):
     return half, theta
 
 
+@functools.cache
+def _first_nodes():
+    """The nodes of the 1-panel grid above those of the 2-panel grid, as one
+    read-only (3, 16) array."""
+    theta = np.concatenate((_grid(1)[1], _grid(2)[1]))
+    theta.flags.writeable = False
+    return theta
+
+
+def _estimate(half, vals):
+    # a dot product per panel: one gemv over all panels rounds differently
+    dots = np.matmul(vals[:, None, :], _WEIGHTS)[:, 0]
+    return np.sum(half * dots) / (2.0 * np.pi)
+
+
 def integrate_periodic(f, tol=1e-12, max_doublings=20):
     """Mean value (1/2pi) * integral of f over [0, 2*pi].
 
     Composite 16-point Gauss-Legendre; the panel count doubles until two
     successive estimates differ by less than tol/2, and NonConvergenceError
-    is raised after max_doublings doublings.  f is called once per estimate
-    with the (panels, 16) array of nodes, which is read-only (writing into
-    it raises ValueError), and must return an array of that shape, or one
-    that broadcasts to it (a constant); any other shape raises ValueError.
+    is raised after max_doublings doublings.
+
+    f receives read-only arrays of nodes (writing into one raises
+    ValueError) and must return an array of the same shape, or one that
+    broadcasts to it (a constant); any other shape raises ValueError.  Its
+    first call gets a (3, 16) array: row 0 holds the nodes of 1 panel and
+    rows 1-2 those of 2 panels, so an integral that converges at 2 panels
+    costs one call.  Each later call gets the (panels, 16) nodes of one
+    estimate, from 4 panels on.  f must therefore compute each value from
+    its own node alone.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    def estimate(panels):
-        half, theta = _grid(panels)
+    def values(theta):
         vals = np.asarray(f(theta), dtype=complex)
         if vals.shape != theta.shape:
             vals = np.broadcast_to(vals, theta.shape)
-        # a dot product per panel: one gemv over all panels rounds differently
-        dots = np.matmul(vals[:, None, :], _WEIGHTS)[:, 0]
-        return np.sum(half * dots) / (2.0 * np.pi)
+        return vals
 
-    prev = estimate(1)
+    first = values(_first_nodes())
+    prev = _estimate(_grid(1)[0], first[:1])
+    cur = _estimate(_grid(2)[0], first[1:])
     panels = 2
-    for _ in range(max_doublings):
-        cur = estimate(panels)
+    for doubling in range(max_doublings):
+        if doubling:
+            half, theta = _grid(panels)
+            cur = _estimate(half, values(theta))
         if abs(cur - prev) < tol / 2.0:
             return cur
         prev = cur
@@ -127,3 +154,103 @@ def integrate_periodic(f, tol=1e-12, max_doublings=20):
     raise NonConvergenceError(
         f"integrate_periodic did not converge to tol={tol}", last_estimate=prev
     )
+
+
+# ---------------------------------------------------------------------------
+# seeded uniform draws
+
+_M32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants; the PCG64 multiplier's 64-bit halves,
+# and the low half's 32-bit limbs
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI = 2549297995355413924
+_PCG_LO = 4865540595714422341
+_PCG_LO0, _PCG_LO1 = _PCG_LO & _M32, _PCG_LO >> 32
+
+
+def _hashmix(value, h, mult):
+    """SeedSequence's hash of a uint32 array with the running constant h;
+    returns the hash and the next constant."""
+    h_next = (h * mult) & _M32
+    value = (value ^ np.uint32(h)) * np.uint32(h_next)
+    return value ^ (value >> np.uint32(16)), h_next
+
+
+def _mix(x, y):
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> np.uint32(16))
+
+
+def _seed_state(seed, count):
+    """SeedSequence([seed, i]).generate_state(4, np.uint64) for each i < count,
+    as four uint64 arrays."""
+    entropy = []
+    while seed:  # the 32-bit words of seed, low first; [0] for 0
+        entropy.append(np.full(count, seed & _M32, np.uint32))
+        seed >>= 32
+    entropy = (entropy or [np.zeros(count, np.uint32)]) + [np.arange(count, dtype=np.uint32)]
+    # a pool of four words: entropy shorter than the pool hashes as zeros
+    entropy += [np.zeros(count, np.uint32)] * (4 - len(entropy))
+    pool, h = [], _INIT_A
+    for word in entropy[:4]:
+        value, h = _hashmix(word, h, _MULT_A)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, h = _hashmix(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[4:]:
+        for dst in range(4):
+            value, h = _hashmix(word, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    # eight 32-bit words from the cycled pool, paired little-endian
+    words, h = [], _INIT_B
+    for i in range(8):
+        value, h = _hashmix(pool[i % 4], h, _MULT_B)
+        words.append(value.astype(np.uint64))
+    return [words[2 * j] | (words[2 * j + 1] << np.uint64(32)) for j in range(4)]
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """The PCG64 step state * multiplier + inc mod 2^128, on states held as
+    (hi, lo) uint64 arrays; the high word of lo * _PCG_LO from 32-bit limbs."""
+    lo0, lo1 = lo & np.uint64(_M32), lo >> np.uint64(32)
+    p00, p01, p10 = lo0 * np.uint64(_PCG_LO0), lo0 * np.uint64(_PCG_LO1), lo1 * np.uint64(_PCG_LO0)
+    mid = (p00 >> np.uint64(32)) + (p01 & np.uint64(_M32)) + (p10 & np.uint64(_M32))
+    hi = (lo1 * np.uint64(_PCG_LO1) + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32))
+          + (mid >> np.uint64(32)) + lo * np.uint64(_PCG_HI) + hi * np.uint64(_PCG_LO))
+    lo = lo * np.uint64(_PCG_LO)
+    new_lo = lo + inc_lo
+    return hi + inc_hi + (new_lo < lo), new_lo
+
+
+def uniform_streams(seed, count, k):
+    """The (count, k) array whose row i is the bytes of
+    np.random.default_rng([seed, i]).random(k), for all rows at once.
+
+    Row i runs numpy's SeedSequence([seed, i]), seeds PCG64 with the
+    state it generates, and turns each 64-bit output x into the double
+    (x >> 11) 2^-53, as Generator.random does; tests check it against
+    default_rng.  One generator per row costs about 12 us, this about
+    1 us a row.  seed must be a non-negative integer, as for default_rng,
+    and count at most 2^32, so that each row's own entropy is one word.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    s_hi, s_lo, q_hi, q_lo = _seed_state(seed, count)
+    # PCG64's seeding: inc = 2q + 1, then state = (inc + s) * multiplier + inc
+    inc_hi = (q_hi << np.uint64(1)) | (q_lo >> np.uint64(63))
+    inc_lo = (q_lo << np.uint64(1)) | np.uint64(1)
+    lo = inc_lo + s_lo
+    hi, lo = _pcg_step(inc_hi + s_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    out = np.empty((count, k))
+    for j in range(k):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR output: hi ^ lo rotated right by the top six bits
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        out[:, j] = (x >> np.uint64(11)) * 2.0**-53
+    return out

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gc_core import EigenProfile, build_polytope, contains, grassmannian_shape, index_set
 from .novikov import as_fraction
-from .numerics import NonConvergenceError
+from .numerics import NonConvergenceError, uniform_streams
 
 NEWTON_TOL = 1e-10  # a Newton start has converged once max |grad| < NEWTON_TOL
 MAX_ITERS = 100  # Newton iterations a start gets before it is dropped
@@ -123,12 +123,30 @@ def _exponents(w, E):
 
 def _grad_hess_at_w(E, c, w):
     """Gradient and logarithmic Hessian at w (y = exp(w)) of sum_t c_t e^(E_t . w);
-    w may be a batch of shape (..., nvars)."""
+    w may be a batch of shape (..., nvars).
+
+    The Hessian is einsum("...t,tj,tl->...jl", vals, E, E), bit for bit.  For
+    a batch of two or more rows of finite values it is computed as two real
+    matrix products, of the real and imaginary parts of vals with E (x) E
+    flattened to (terms, nvars^2).  Each term vals_t E_tj E_tl is exact,
+    since E's entries are 0 and +-1, so only the order of the additions
+    could differ; the matrix product adds the terms in order, as the
+    einsum does.  A 1-D w or a one-row batch would go to a matrix-vector
+    product, which adds them in another order, and the einsum's complex
+    products turn an infinite value into NaN in both parts; those cases,
+    and batches of other shapes, run the einsum itself.
+    """
     vals = c * np.exp(_exponents(w, E))  # (..., terms)
     # a stack of vector-matrix products: a plain vals @ E on a 2-D batch is
     # one gemm, whose rounding differs from the per-start product
     grad = np.matmul(vals[..., None, :], E)[..., 0, :]  # (..., nvars)
-    hess = np.einsum("...t,tj,tl->...jl", vals, E, E)
+    if w.ndim != 2 or len(w) < 2 or not np.isfinite(vals).all():
+        return grad, np.einsum("...t,tj,tl->...jl", vals, E, E)
+    terms, n = E.shape
+    EE = (E[:, :, None] * E[:, None, :]).reshape(terms, n * n)
+    hess = np.empty((len(w), n, n), dtype=complex)
+    np.matmul(vals.real, EE, out=hess.real.reshape(len(w), n * n))
+    np.matmul(vals.imag, EE, out=hess.imag.reshape(len(w), n * n))
     return grad, hess
 
 
@@ -193,20 +211,20 @@ def _solve_steps(hess, grad):
     """Newton steps -H^{-1} g for a stack of systems, and a mask of the
     systems whose own solve raises LinAlgError (their steps are zero).
 
-    A stacked solve raises if any one matrix is singular; the stack is then
-    halved until each singular matrix stands alone, so a system is stopped
-    exactly when its own solve would raise.
+    A stacked solve raises if any one matrix is singular.  The matrices
+    whose slogdet sign is 0 are then marked: slogdet factors with the same
+    LAPACK getrf as solve and gives sign 0 exactly when a pivot is zero,
+    which is when solve raises.  The others are solved in one call.
     """
     try:
         steps = np.linalg.solve(hess, -grad[..., None])[..., 0]
         return steps, np.zeros(len(hess), bool)
     except np.linalg.LinAlgError:
-        if len(hess) == 1:
-            return np.zeros_like(grad), np.ones(1, bool)
-    mid = len(hess) // 2
-    s1, m1 = _solve_steps(hess[:mid], grad[:mid])
-    s2, m2 = _solve_steps(hess[mid:], grad[mid:])
-    return np.concatenate([s1, s2]), np.concatenate([m1, m2])
+        with np.errstate(all="ignore"):
+            singular = np.linalg.slogdet(hess)[0] == 0
+    steps = np.zeros_like(grad)
+    steps[~singular] = np.linalg.solve(hess[~singular], -grad[~singular][..., None])[..., 0]
+    return steps, singular
 
 
 def _normalized_det(hess):
@@ -243,16 +261,21 @@ def _newton(E, c, w):
     A start stops for good when its solve raises LinAlgError or its step
     norm is not finite; steps longer than 20 are clamped to norm 20.
     """
-    active = np.arange(len(w))
+    # x holds the rows of the starts still iterating, active their indices;
+    # a converged row is written back into w
+    active, x = np.arange(len(w)), w
     converged = np.zeros(len(w), bool)
     for _ in range(MAX_ITERS):
         if not len(active):
             break
-        grad, hess = _grad_hess_at_w(E, c, w[active])
+        grad, hess = _grad_hess_at_w(E, c, x)
         done = np.max(np.abs(grad), axis=1) < NEWTON_TOL
-        converged[active[done]] = True
-        active, grad, hess = active[~done], grad[~done], hess[~done]
+        if done.any():
+            converged[active[done]] = True
+            w[active[done]] = x[done]
+            active, x, grad, hess = active[~done], x[~done], grad[~done], hess[~done]
         step, singular = _solve_steps(hess, grad)
+        del grad, hess  # not held while the next iteration builds its own
         # the 1-D path of np.linalg.norm, so each start's norm is the one
         # its own step would get
         re, im = step.real, step.imag
@@ -262,33 +285,41 @@ def _newton(E, c, w):
         )
         moving = ~singular & np.isfinite(norm)
         long = moving & (norm > 20.0)
-        step[long] *= (20.0 / norm[long])[:, None]
-        active, step = active[moving], step[moving]
-        w[active] = w[active] + step
+        if long.any():
+            step[long] *= (20.0 / norm[long])[:, None]
+        if not moving.all():
+            active, x, step = active[moving], x[moving], step[moving]
+        x = x + step
     return w[converged]
+
+
+def _start_points(n, config):
+    """The (starts, n) Newton starts w: log-moduli uniform in [3 log T0,
+    -3 log T0], arguments uniform in [-pi, pi].  Start s takes the 2n
+    doubles u of default_rng([seed, s]).random(2n); the first half scales
+    to the log-moduli and the second half to the arguments, all starts at
+    once, as low + (high - low) u: the values that
+    rng.uniform(3 log T0, -3 log T0, n) and then rng.uniform(-pi, pi, n)
+    would give."""
+    lo = 3.0 * math.log(config.T0)
+    u = uniform_streams(config.seed, config.starts, 2 * n)
+    w = np.empty((config.starts, n), dtype=complex)
+    w.real = lo + (-lo - lo) * u[:, :n]
+    w.imag = -np.pi + (np.pi - -np.pi) * u[:, n:]
+    return w
 
 
 def find_critical_points(po, config=SolverConfig()):
     """Deduplicated Newton limit points of the log-gradient system.
 
-    Starts are sampled in log-coordinates (uniform argument, log-modulus in
-    [3 log T0, -3 log T0]) with per-start seeds; the returned list is sorted
-    by a canonical key and is deterministic given (seed, starts).  All starts
-    are iterated together as one (starts, nvars) array; each keeps the
-    result it would have on its own.  Raises NonConvergenceError when no
-    start converges.
+    Starts are drawn by _start_points, in log-coordinates with per-start
+    seeds; the returned list is sorted by a canonical key and is
+    deterministic given (seed, starts).  All starts are iterated together
+    as one (starts, nvars) array; each keeps the result it would have on
+    its own.  Raises NonConvergenceError when no start converges.
     """
-    n = po.nvars
-    T0 = config.T0
-    lo = 3.0 * math.log(T0)
-    w = np.empty((config.starts, n), dtype=complex)
-    for start in range(config.starts):
-        rng = np.random.default_rng([config.seed, start])
-        re = rng.uniform(lo, -lo, size=n)
-        im = rng.uniform(-np.pi, np.pi, size=n)
-        w[start] = re + 1j * im
-    E, c = po.exponent_matrix(), po.coeff_vector(T0)
-    w = _newton(E, c, w)
+    E, c = po.exponent_matrix(), po.coeff_vector(config.T0)
+    w = _newton(E, c, _start_points(po.nvars, config))
     if not len(w):
         raise NonConvergenceError(
             f"no Newton start converged (starts={config.starts}, "

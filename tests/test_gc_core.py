@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcfloer import gc_core
+from gcfloer import gc_core, numerics
 from gcfloer.gc_core import (
     GCPoint,
     build_polytope,
@@ -203,6 +203,49 @@ def test_contains_and_face_dimension():
             contains(polytope, (0.0, bad, 0.0))
 
 
+def _reference_contains(polytope, u):
+    """The per-inequality loop contains replaced: each affine form rebuilt
+    from its Fractions, one slack at a time."""
+    vec = np.array(u, dtype=float)
+    inside, active = True, []
+    for j, ineq in enumerate(polytope.inequalities):
+        coeffs, const = ineq.affine(polytope.index)
+        slack = float(coeffs @ vec + const)
+        if slack < -gc_core.GC_TOL:
+            inside = False
+        elif abs(slack) <= gc_core.GC_TOL:
+            active.append(j)
+    return inside, active
+
+
+def test_contains_matches_per_inequality_loop():
+    rng = np.random.default_rng(37)
+    cases = [(shape, profile) for _, shape, profile in spaces()]
+    for steps, blocks in (((1, 2, 3), (3, 2, 1, 0)), ((1, 3), (2, 1, 0))):
+        shape = gc_core.FlagShape(steps, 4)
+        cases.append((shape, gc_core.EigenProfile.from_blocks(shape, blocks)))
+    tol = gc_core.GC_TOL
+    seen = {"outside": 0, "on a face": 0, "interior": 0}
+    for shape, profile in cases:
+        polytope = build_polytope(shape, profile)
+        n = shape.ambient
+        diag = np.diag([float(v) for v in profile.values])
+        for _ in range(300):
+            # an interior point, then some coordinates moved onto a profile
+            # value or another coordinate, exactly or off by fractions of
+            # the tolerance
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            u = list(gc_map(q @ diag @ q.conj().T, shape, profile).values)
+            targets = [float(v) for v in profile.values] + u
+            for i in rng.choice(len(u), rng.integers(0, 3), replace=False):
+                u[i] = rng.choice(targets) + rng.choice([0.0, 0.5 * tol, -0.5 * tol, 2 * tol, -2 * tol])
+            got = contains(polytope, u)
+            assert got == _reference_contains(polytope, u)
+            assert all(type(j) is int for j in got[1])
+            seen["outside" if not got[0] else "on a face" if got[1] else "interior"] += 1
+    assert min(seen.values()) > 50, seen
+
+
 def test_detect_diamonds():
     shape, profile = fl3_shape(), fl3_profile(1, 1)
     u = GCPoint((0.0, 0.0, 0.0), index_set(shape, profile))
@@ -249,6 +292,20 @@ def test_gc_map_rejects_off_orbit():
         gc_map(np.diag([2.0, 0.0, -1.0]), shape, profile)
     with pytest.raises(ValueError, match="Hermitian"):
         gc_map(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]), shape, profile)
+
+
+def test_gc_map_checks_the_matrix_once(monkeypatch):
+    # the whole matrix is checked by hermitian_eigenvalues alone, each
+    # upper-left block by its own call
+    shapes = []
+    check = numerics.check_hermitian
+    monkeypatch.setattr(numerics, "check_hermitian", lambda m: shapes.append(np.shape(m)) or check(m))
+    gc_map(gr25_L1_point(1, 0.8, 0.6, 0.2, 0.3, -1.2), grassmannian_shape(2, 5), gr25_profile(1))
+    assert sorted(shapes) == [(k, k) for k in range(1, 6)]
+    with pytest.raises(ValueError, match="ambient dimension"):
+        gc_map(np.diag([1.0, 0.0]), fl3_shape(), fl3_profile(1, 1))
+    with pytest.raises(ValueError, match="square"):
+        gc_map(np.ones((3, 2)), fl3_shape(), fl3_profile(1, 1))
 
 
 def test_constructor_input_validation():
@@ -355,6 +412,17 @@ def test_gc_map_interlaces(seed, halves):
             inner, outer = level(k), level(k + 1)
             for i in range(k):
                 assert outer[i] + 1e-9 >= inner[i] >= outer[i + 1] - 1e-9
+
+
+def test_verify_import_loads_no_pool_or_polynomial():
+    # importing gcfloer.verify is all the set-up verify-all pays
+    code = (
+        "import sys, gcfloer.verify; "
+        "loaded = [m for m in ('multiprocessing', 'concurrent.futures', 'numpy.polynomial') "
+        "if m in sys.modules]; "
+        "assert not loaded, loaded"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 def test_package_import_defers_scipy_optimize():

@@ -70,12 +70,17 @@ def test_integrate_periodic_rejects_bad_tol():
         integrate_periodic(np.cos, tol=0.0)
 
 
-def _reference_estimate(f, panels):
-    """The reference estimate on panels panels, its grid built afresh."""
+def _reference_grid(panels):
+    """The half-widths and nodes of the composite rule, built afresh."""
     edges = np.linspace(0.0, 2.0 * np.pi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    theta = mid[:, None] + half[:, None] * numerics._NODES
+    return half, mid[:, None] + half[:, None] * numerics._NODES
+
+
+def _reference_estimate(f, panels):
+    """The reference estimate on panels panels: f called on that grid alone."""
+    half, theta = _reference_grid(panels)
     vals = np.broadcast_to(np.asarray(f(theta), dtype=complex), theta.shape)
     dots = np.matmul(vals[:, None, :], numerics._WEIGHTS)[:, 0]
     return np.sum(half * dots) / (2.0 * np.pi)
@@ -118,6 +123,28 @@ def test_integrand_cannot_write_the_nodes():
         assert _bytes(info.value.last_estimate) == _bytes(_reference_estimate(_kinked, 2**doublings))
 
 
+def test_first_call_gets_the_one_and_two_panel_nodes():
+    calls = []
+
+    def recorded(g):
+        def f(theta):
+            calls.append(theta.shape)
+            assert not theta.flags.writeable
+            return g(theta)
+        return f
+
+    # an integral that converges at 2 panels costs one call
+    assert _bytes(integrate_periodic(recorded(np.cos))) == _bytes(_reference_estimate(np.cos, 2))
+    assert calls == [(3, 16)]
+    calls.clear()
+    with pytest.raises(NonConvergenceError):
+        integrate_periodic(recorded(_kinked), tol=_NEVER, max_doublings=3)
+    assert calls == [(3, 16), (4, 16), (8, 16)]
+    first = numerics._first_nodes()
+    assert not first.flags.writeable
+    assert first.tobytes() == np.concatenate((_reference_grid(1)[1], _reference_grid(2)[1])).tobytes()
+
+
 def test_grids_of_a_non_converging_run_are_not_kept():
     with pytest.raises(NonConvergenceError):
         integrate_periodic(_kinked, tol=_NEVER, max_doublings=8)
@@ -157,3 +184,18 @@ def test_quadrature_rule_is_leggauss_16():
     assert numerics._WEIGHTS.tobytes() == weights.tobytes()
     assert not numerics._NODES.flags.writeable
     assert not numerics._WEIGHTS.flags.writeable
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 17, 2**130 + 9])
+def test_uniform_streams_equal_default_rng(seed):
+    # seeds of one to five 32-bit words: five overflow SeedSequence's pool
+    for count, k in ((1, 1), (2, 6), (700, 18)):
+        want = np.array([np.random.default_rng([seed, i]).random(k) for i in range(count)])
+        assert numerics.uniform_streams(seed, count, k).tobytes() == want.tobytes()
+
+
+def test_uniform_streams_reject_what_default_rng_rejects():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        numerics.uniform_streams(-1, 3, 2)
+    with pytest.raises(TypeError):
+        numerics.uniform_streams(1.5, 3, 2)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gcfloer import potential
 from gcfloer.gc_core import (
     EigenProfile,
+    FlagShape,
     build_polytope,
     fl3_profile,
     fl3_shape,
@@ -284,6 +285,106 @@ def test_batched_exponents_equal_per_row_products():
             want = np.array([w_i @ E.T for w_i in w])
             assert potential._exponents(w, E).tobytes() == want.tobytes()
             assert potential._exponents(w[0], E).tobytes() == want[0].tobytes()
+
+
+def _hessian_exponent_matrices():
+    """E of every registered space, of Fl(4) and of F(1,3;4)."""
+    pots = [build_potential(s.shape, s.profile(UNIT)) for s in SPACES.values()]
+    for shape, blocks in (
+        (FlagShape((1, 2, 3), 4), (3, 2, 1, 0)),
+        (FlagShape((1, 3), 4), (2, 1, 0)),
+    ):
+        pots.append(build_potential(shape, EigenProfile.from_blocks(shape, blocks)))
+    return [po.exponent_matrix() for po in pots]
+
+
+def test_hessian_products_equal_einsum():
+    # the real products give the einsum's bytes for batches of two or more
+    # rows; a 1-D w and a one-row batch run the einsum itself
+    rng = np.random.default_rng(29)
+    for E in _hessian_exponent_matrices():
+        terms, n = E.shape
+        c = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+        batches = [rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)) for m in (1, 2, 900)]
+        batches += list(_exponent_batches(E, rng))
+        # far from the origin most terms underflow to (signed) zeros and
+        # some overflow
+        far = np.array([0.0, -0.0, 400.0, -400.0, 1.5])
+        batches += [far[rng.integers(0, 5, (m, n))] + 1j * far[rng.integers(0, 5, (m, n))]
+                    for m in (1, 2, 3, 900)]
+        for w in batches:
+            with np.errstate(all="ignore"):
+                vals = c * np.exp(potential._exponents(w, E))
+                want = np.einsum("...t,tj,tl->...jl", vals, E, E)
+                got = potential._grad_hess_at_w(E, c, w)[1]
+                got_row = potential._grad_hess_at_w(E, c, w[0])[1]
+            assert got.tobytes() == want.tobytes()
+            assert got_row.tobytes() == want[0].tobytes()
+
+
+def _per_matrix_steps(hess, grad):
+    """Each system solved on its own, and the mask of those that raise."""
+    steps, singular = np.zeros_like(grad), np.zeros(len(hess), bool)
+    for i, (h, g) in enumerate(zip(hess, grad)):
+        try:
+            steps[i] = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return steps, singular
+
+
+def _singular_matrix(rng, n):
+    """An exactly singular complex matrix: a zero row or column, a
+    small-integer rank-one product, or zero."""
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        h[rng.integers(0, n)] = 0.0
+    elif kind == 1:
+        h[:, rng.integers(0, n)] = 0.0
+    elif kind == 2:
+        h = np.outer(rng.integers(-3, 4, n), rng.integers(1, 4, n)).astype(complex)
+    else:
+        h = np.zeros((n, n), complex)
+    return h
+
+
+def test_singular_mask_matches_per_matrix_solve():
+    rng = np.random.default_rng(31)
+    for n in (3, 4, 6):
+        for plant in ("all", "none", "mixed", "one singular", "one regular"):
+            m = 1 if plant.startswith("one") else 12
+            hess = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+            marked = {"all": np.ones(m, bool), "none": np.zeros(m, bool),
+                      "mixed": rng.random(m) < 0.4, "one singular": np.ones(1, bool),
+                      "one regular": np.zeros(1, bool)}[plant]
+            for i in np.flatnonzero(marked):
+                hess[i] = _singular_matrix(rng, n)
+            if plant == "mixed":
+                # two equal rows: singular in exact arithmetic, and left to
+                # the rounding of the factorization in floats
+                for i in np.flatnonzero(~marked)[::2]:
+                    hess[i, 0] = hess[i, 1]
+            grad = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+            steps, singular = potential._solve_steps(hess, grad)
+            want_steps, want_singular = _per_matrix_steps(hess, grad)
+            assert singular.tolist() == want_singular.tolist()
+            assert want_singular[marked].all()
+            assert steps.tobytes() == want_steps.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 9])
+def test_start_points_equal_two_uniform_draws(n):
+    for T0, seed in ((0.5, 0), (0.6, 1), (0.37, 12345)):
+        cfg = SolverConfig(T0=T0, starts=200, seed=seed)
+        lo = 3.0 * math.log(T0)
+        want = []
+        for start in range(cfg.starts):
+            rng = np.random.default_rng([seed, start])
+            re = rng.uniform(lo, -lo, size=n)
+            im = rng.uniform(-np.pi, np.pi, size=n)
+            want.append(re + 1j * im)
+        assert potential._start_points(n, cfg).tobytes() == np.array(want).tobytes()
 
 
 def test_find_critical_points_deterministic():
