@@ -9,13 +9,14 @@ forces to be constant are dropped, and the remaining N entries (N the
 complex dimension) are ordered by level k descending, then i ascending.
 """
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .novikov import as_fraction
-from .numerics import hermitian_eigenvalues
+from .numerics import leading_block_defects, require_hermitian
 
 GC_TOL = 1e-8  # gap at which two pattern values, or a point and a facet, count as equal
 
@@ -361,34 +362,63 @@ def detect_diamonds(shape, profile, u):
 # the moment map
 
 
-def gc_map(x, shape, profile):
-    """Gelfand-Cetlin map: eigenvalues of upper-left submatrices of x."""
-    spec = hermitian_eigenvalues(x)  # checks that x is square and Hermitian
-    x = np.asarray(x, dtype=complex)
-    n = shape.ambient
-    if x.shape[0] != n:
-        raise ValueError("matrix size does not match the ambient dimension")
+@functools.lru_cache(maxsize=64)
+def _gc_pattern(shape, profile):
+    """What gc_map needs of (shape, profile): the profile as floats and, when
+    index_set accepts the profile, the index set with the (i, k, lambda_i)
+    of each constant entry below level n in gc_map's checking order; None
+    in its place otherwise."""
     target = [float(v) for v in profile.values]
+    try:
+        idx = index_set(shape, profile)
+    except ValueError:
+        return target, None
+    constants = [
+        (i, k, float(profile.value(i)))
+        for k in range(1, shape.ambient)
+        for i in range(1, k + 1)
+        if is_constant_entry(shape, profile, i, k)
+    ]
+    return target, (idx, constants)
+
+
+def gc_map(x, shape, profile):
+    """Gelfand-Cetlin map: eigenvalues of upper-left submatrices of x.
+
+    Checks, in this order: x is square, finite and Hermitian (check_hermitian's
+    rule); its size is the ambient dimension; its spectrum is the profile
+    within GC_TOL; the profile suits the shape (index_set); each upper-left
+    block passes the Hermitian rule on its own scale; and the entries that
+    interlacing forces to be constant are.  |x - x*| and |x| are built once
+    for all of these Hermitian decisions, and what depends only on (shape,
+    profile) is computed once per pair in a small memo.
+    """
+    a, defect, scale = leading_block_defects(x)
+    require_hermitian(defect[-1], scale[-1])
+    spec = np.linalg.eigvalsh(a)[::-1].tolist()
+    n = shape.ambient
+    if a.shape[0] != n:
+        raise ValueError("matrix size does not match the ambient dimension")
+    target, pattern = _gc_pattern(shape, profile)
     for got, want in zip(spec, target):
         if abs(got - want) > GC_TOL:
             raise ValueError(
                 f"matrix is not on the orbit: eigenvalue {got:.12g} != {want:.12g}"
             )
-    idx = index_set(shape, profile)
-    values = []
-    level_eigs = {k: hermitian_eigenvalues(x[:k, :k]) for k in range(1, n)}
-    for i, k in idx:
-        values.append(level_eigs[k][i - 1])
-    # verify constant entries
+    if pattern is None:
+        index_set(shape, profile)  # raises the profile's error
+    idx, constants = pattern
+    level_eigs = {}
     for k in range(1, n):
-        for i in range(1, k + 1):
-            if is_constant_entry(shape, profile, i, k):
-                want = float(profile.value(i))
-                got = level_eigs[k][i - 1]
-                if abs(got - want) > GC_TOL:
-                    raise ValueError(
-                        f"constant entry ({i},{k}) is {got:.12g}, expected {want:.12g}"
-                    )
+        require_hermitian(defect[k - 1], scale[k - 1])
+        level_eigs[k] = np.linalg.eigvalsh(a[:k, :k])[::-1].tolist()
+    values = [level_eigs[k][i - 1] for i, k in idx]
+    for i, k, want in constants:
+        got = level_eigs[k][i - 1]
+        if abs(got - want) > GC_TOL:
+            raise ValueError(
+                f"constant entry ({i},{k}) is {got:.12g}, expected {want:.12g}"
+            )
     return GCPoint(tuple(values), idx)
 
 

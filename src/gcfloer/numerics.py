@@ -1,15 +1,16 @@
 """Eigenvalues with fixed ordering contracts, and periodic quadrature.
 
-The eigenvalue functions check their input (square; Hermitian within
-HERMITIAN_TOL) and hand the work to LAPACK through numpy.linalg; what they
-add is a deterministic output order that callers and printed output rely
-on.  integrate_periodic is adaptive composite Gauss-Legendre for integrals
-of smooth periodic functions over [0, 2*pi]; its integrand receives an
-array of nodes and returns the values at all of them.  uniform_streams
-draws, for many seeds [seed, i] at once, the doubles numpy's default_rng
-would give.
+The eigenvalue functions check their input (square; finite and Hermitian
+within HERMITIAN_TOL) and hand the work to LAPACK through numpy.linalg;
+what they add is a deterministic output order that callers and printed
+output rely on.  integrate_periodic is adaptive composite Gauss-Legendre
+for integrals of smooth periodic functions over [0, 2*pi]; its integrand
+receives an array of nodes and returns the values at all of them.
+uniform_streams draws, for many seeds [seed, i] at once, the doubles
+numpy's default_rng would give.
 """
 
+import cmath
 import functools
 import operator
 
@@ -56,12 +57,48 @@ def _as_square_complex(m):
     return a
 
 
-def check_hermitian(m):
+def _leading_maxima(m):
+    # running maxima down the columns, then along the rows: entry (k-1, k-1)
+    # is the largest entry of the leading k x k block
+    return np.maximum.accumulate(np.maximum.accumulate(m, axis=0), axis=1).diagonal()
+
+
+def leading_block_defects(m):
+    """m as a finite square complex array a, with the Hermitian defect and
+    scale of each of its leading blocks.
+
+    Returns (a, defect, scale), where defect[k-1] = max |a - a*| and
+    scale[k-1] = max(1, max |a|) over the block a[:k, :k], k = 1..n, as
+    lists of floats.  Both come from one |a - a*| and one |a|, so a caller
+    that needs every block (gc_map) checks the matrix once.  Raises
+    ValueError for a non-square or empty matrix and for NaN or infinite
+    entries.
+    """
     a = _as_square_complex(m)
-    scale = max(1.0, np.abs(a).max())
-    defect = np.abs(a - a.conj().T).max()
+    if not a.size:  # as np.max on an empty array
+        raise ValueError("zero-size array to reduction operation maximum which has no identity")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    defect = _leading_maxima(np.abs(a - a.conj().T)).tolist()
+    scale = np.maximum(_leading_maxima(np.abs(a)), 1.0).tolist()
+    return a, defect, scale
+
+
+def require_hermitian(defect, scale):
+    """Raise ValueError when a block's defect exceeds HERMITIAN_TOL * scale."""
     if defect > HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3g})")
+
+
+def check_hermitian(m):
+    """m as a square complex array; ValueError unless it is finite and
+    max |m - m*| <= HERMITIAN_TOL * max(1, max |m|).
+
+    A NaN defect would compare False against the tolerance, so finiteness
+    is checked first.
+    """
+    a, defect, scale = leading_block_defects(m)
+    require_hermitian(defect[-1], scale[-1])
     return a
 
 
@@ -99,6 +136,12 @@ def _grid(panels):
     return half, theta
 
 
+_TWO_PI = 2.0 * np.pi
+# the half-widths h of 1 and 2 panels as complex numbers h + 0i: np.sum(half *
+# dots) multiplies in complex arithmetic, and so must _first_estimates
+_HALF_1, _HALF_2 = ([complex(h) for h in _grid(p)[0].tolist()] for p in (1, 2))
+
+
 @functools.cache
 def _first_nodes():
     """The nodes of the 1-panel grid above those of the 2-panel grid, as one
@@ -108,10 +151,28 @@ def _first_nodes():
     return theta
 
 
-def _estimate(half, vals):
+def _panel_dots(vals):
     # a dot product per panel: one gemv over all panels rounds differently
-    dots = np.matmul(vals[:, None, :], _WEIGHTS)[:, 0]
-    return np.sum(half * dots) / (2.0 * np.pi)
+    return np.matmul(vals[:, None, :], _WEIGHTS)[:, 0]
+
+
+def _estimate(half, vals):
+    return np.sum(half * _panel_dots(vals)) / _TWO_PI
+
+
+def _first_estimates(vals):
+    """The 1-panel and 2-panel estimates from the (3, 16) values of the first
+    call, bit for bit those of _estimate on rows 0 and 1-2.
+
+    np.sum on one or two terms starts from +0 and adds them in order, and
+    Python's complex product and sum round as numpy's do; the division
+    stays numpy's.  This saves two np.sum calls per integral.
+    """
+    d0, d1, d2 = _panel_dots(vals).tolist()
+    (h0,), (h1, h2) = _HALF_1, _HALF_2
+    one = 0j + h0 * d0
+    two = 0j + (h1 * d1 + h2 * d2)
+    return np.complex128(one) / _TWO_PI, np.complex128(two) / _TWO_PI
 
 
 def integrate_periodic(f, tol=1e-12, max_doublings=20):
@@ -119,7 +180,10 @@ def integrate_periodic(f, tol=1e-12, max_doublings=20):
 
     Composite 16-point Gauss-Legendre; the panel count doubles until two
     successive estimates differ by less than tol/2, and NonConvergenceError
-    is raised after max_doublings doublings.
+    is raised after max_doublings doublings.  A NaN or infinite estimate
+    raises NonConvergenceError at once, with that estimate as last_estimate:
+    a non-finite node value always gives one (the weights and half-widths
+    are positive), and more panels cannot make it finite.
 
     f receives read-only arrays of nodes (writing into one raises
     ValueError) and must return an array of the same shape, or one that
@@ -139,15 +203,22 @@ def integrate_periodic(f, tol=1e-12, max_doublings=20):
             vals = np.broadcast_to(vals, theta.shape)
         return vals
 
-    first = values(_first_nodes())
-    prev = _estimate(_grid(1)[0], first[:1])
-    cur = _estimate(_grid(2)[0], first[1:])
+    def finite(estimate, panels):
+        if not cmath.isfinite(estimate):
+            raise NonConvergenceError(
+                f"integrate_periodic: non-finite estimate (panels={panels})",
+                last_estimate=estimate,
+            )
+        return estimate
+
+    prev, cur = _first_estimates(values(_first_nodes()))
+    finite(prev, 1)
     panels = 2
     for doubling in range(max_doublings):
         if doubling:
             half, theta = _grid(panels)
             cur = _estimate(half, values(theta))
-        if abs(cur - prev) < tol / 2.0:
+        if abs(finite(cur, panels) - prev) < tol / 2.0:
             return cur
         prev = cur
         panels *= 2

@@ -283,23 +283,34 @@ def check_floer_modules(fast=False):
 # 8. geometry property suite
 
 
-def _random_orbit_point(rng, profile):
+def _random_orbit_points(rng, profile, count):
+    """count points u diag(profile) u* of the orbit, u the Q factor of a
+    complex Gaussian matrix; the stream is that of count draws of a real
+    then an imaginary (n, n) normal matrix, one point after the other."""
     vals = np.array([float(v) for v in profile.values])
     n = len(vals)
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    u_mat, _ = np.linalg.qr(g)
-    return u_mat @ np.diag(vals) @ u_mat.conj().T
+    draws = rng.normal(size=(count, 2, n, n))
+    u_mat, _ = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
+    return u_mat @ np.diag(vals) @ np.swapaxes(u_mat.conj(), -1, -2)
 
 
 def check_geometry(fast=False):
+    """Check 08: random orbit points map into the polytope under gc_map,
+    the fiber constructors land on their pattern points, and the disk,
+    involution and h(t) identities hold.
+
+    Each space's orbit points come from one draw and one stacked QR;
+    gc_map and contains still run once per point.  A space whose image
+    leaves the polytope is reported once, and all its points are drawn
+    anyway, so the next space's points do not depend on the outcome.
+    """
     problems = []
     n_points = 34 if fast else 334
     rng = np.random.default_rng(2024)
     for name, space in SPACES.items():
         profile = space.profile(UNIT)
         polytope = gc_core.build_polytope(space.shape, profile)
-        for _ in range(n_points):
-            x = _random_orbit_point(rng, profile)
+        for x in _random_orbit_points(rng, profile, n_points):
             u = gc_core.gc_map(x, space.shape, profile)
             inside, _ = gc_core.contains(polytope, u)
             if not inside:

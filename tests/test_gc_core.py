@@ -82,51 +82,74 @@ def _exact_rows(polytope):
     return rows
 
 
-def _solve_exact(rows_subset):
-    """Solve coeffs . u = -const by Gaussian elimination over Fraction;
-    None when singular."""
-    n = len(rows_subset[0][0])
-    aug = [list(c) + [-k] for c, k in rows_subset]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def _integer_rows(polytope):
+    """_exact_rows scaled by the common denominator d of the constants:
+    integer (coeffs, const) with coeffs . v + const >= 0 for v = d u."""
+    rows = _exact_rows(polytope)
+    d = math.lcm(*(const.denominator for _, const in rows))
+    return [([int(c) for c in coeffs], int(const * d)) for coeffs, const in rows]
+
+
+def _bareiss(m, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the integer rows
+    m, in place, over their first ncols columns.  Every entry stays an
+    integer minor, so each division is exact.  Returns the rank."""
+    rank, prev = 0, 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        p = m[rank][col]
+        for r in range(len(m)):
+            if r != rank:
+                f = m[r][col]
+                m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], m[rank])]
+        prev, rank = p, rank + 1
+    return rank
+
+
+def _vertex(rows_subset):
+    """The solution v = x / den of coeffs . v = -const, as (x, den) in
+    lowest terms with den > 0; None when the rows are dependent."""
+    n = len(rows_subset)
+    m = [list(c) + [-k] for c, k in rows_subset]
+    if _bareiss(m, n) < n:
+        return None
+    den = m[0][0]  # the determinant, up to sign, on the whole diagonal
+    x = [row[n] for row in m]
+    g = math.gcd(den, *x) * (1 if den > 0 else -1)
+    return tuple(v // g for v in x), den // g
 
 
 def _facet_oracle(polytope):
     """Facet flags by vertex enumeration: an inequality is a facet iff its
-    tight vertex set has affine rank N - 1."""
-    rows = _exact_rows(polytope)
+    tight vertex set has affine rank N - 1.  Exact integer arithmetic:
+    vertices by Bareiss elimination, ranks counted exactly."""
+    rows = _integer_rows(polytope)
     n = len(polytope.index)
     vertices = set()
-    for subset in itertools.combinations(range(len(rows)), n):
-        u = _solve_exact([rows[i] for i in subset])
-        if u is None:
+    for subset in itertools.combinations(rows, n):
+        vertex = _vertex(subset)
+        if vertex is None:
             continue
-        if all(sum(c * v for c, v in zip(coeffs, u)) + const >= 0 for coeffs, const in rows):
-            vertices.add(tuple(u))
+        x, den = vertex
+        if all(sum(c * v for c, v in zip(coeffs, x)) + const * den >= 0 for coeffs, const in rows):
+            vertices.add(vertex)
     flags = []
     for coeffs, const in rows:
         tight = [
-            v for v in vertices if sum(c * x for c, x in zip(coeffs, v)) + const == 0
+            (x, den) for x, den in vertices
+            if sum(c * v for c, v in zip(coeffs, x)) + const * den == 0
         ]
         if not tight:
             flags.append(False)
             continue
-        base = tight[0]
-        diffs = np.array(
-            [[float(x - b) for x, b in zip(v, base)] for v in tight[1:]]
-        )
-        rank = np.linalg.matrix_rank(diffs) if len(diffs) else 0
-        flags.append(rank == n - 1)
+        # differences from the first tight vertex, each scaled by the
+        # positive product of the two denominators
+        (x0, d0), rest = tight[0], tight[1:]
+        diffs = [[v * d0 - v0 * d for v, v0 in zip(x, x0)] for x, d in rest]
+        flags.append(_bareiss(diffs, n) == n - 1)
     return flags
 
 
@@ -295,17 +318,120 @@ def test_gc_map_rejects_off_orbit():
 
 
 def test_gc_map_checks_the_matrix_once(monkeypatch):
-    # the whole matrix is checked by hermitian_eigenvalues alone, each
-    # upper-left block by its own call
+    # |x - x*| and |x| are built once per gc_map, for the whole matrix and
+    # every upper-left block; check_hermitian is not called at all
     shapes = []
-    check = numerics.check_hermitian
-    monkeypatch.setattr(numerics, "check_hermitian", lambda m: shapes.append(np.shape(m)) or check(m))
-    gc_map(gr25_L1_point(1, 0.8, 0.6, 0.2, 0.3, -1.2), grassmannian_shape(2, 5), gr25_profile(1))
-    assert sorted(shapes) == [(k, k) for k in range(1, 6)]
+    defects = numerics.leading_block_defects
+    monkeypatch.setattr(
+        gc_core, "leading_block_defects", lambda m: shapes.append(np.shape(m)) or defects(m)
+    )
+    monkeypatch.setattr(numerics, "check_hermitian", lambda m: pytest.fail("called"))
+    x = gr25_L1_point(1, 0.8, 0.6, 0.2, 0.3, -1.2)
+    u = gc_map(x, grassmannian_shape(2, 5), gr25_profile(1))
+    assert shapes == [(5, 5)]
+    assert u.values == tuple(
+        float(np.linalg.eigvalsh(x[:k, :k])[::-1][i - 1]) for i, k in u.index
+    )
+    # and each block's decision is the rule's on that block alone
+    _, defect, scale = defects(x)
+    for k in range(1, 6):
+        assert _reference_hermitian_error(x[:k, :k]) is None
+        assert defect[k - 1] <= numerics.HERMITIAN_TOL * scale[k - 1]
     with pytest.raises(ValueError, match="ambient dimension"):
         gc_map(np.diag([1.0, 0.0]), fl3_shape(), fl3_profile(1, 1))
     with pytest.raises(ValueError, match="square"):
         gc_map(np.ones((3, 2)), fl3_shape(), fl3_profile(1, 1))
+
+
+def _reference_hermitian_error(block):
+    """The message of the relative Hermitian rule on one block, computed on
+    that block alone as check_hermitian did before block decisions were
+    shared; None when the block passes."""
+    scale = max(1.0, np.abs(block).max())
+    defect = np.abs(block - block.conj().T).max()
+    if defect > numerics.HERMITIAN_TOL * scale:
+        return f"matrix is not Hermitian (defect {defect:.3g})"
+    return None
+
+
+def _block_errors(x):
+    _, defect, scale = numerics.leading_block_defects(x)
+    errors = []
+    for d, s in zip(defect, scale):
+        try:
+            numerics.require_hermitian(d, s)
+            errors.append(None)
+        except ValueError as exc:
+            errors.append(str(exc))
+    return errors
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    scales=st.lists(st.integers(-14, 14), min_size=6, max_size=6),
+    defect_exponent=st.integers(-16, 2),
+)
+def test_block_hermitian_decisions_match_the_rule_on_each_block(seed, n, scales, defect_exponent):
+    # a Hermitian matrix with rows and columns scaled by powers of ten, and
+    # one-sided defects of random size in random entries: block k's
+    # decision from the shared maxima is the rule's on x[:k, :k] alone
+    rng = np.random.default_rng(seed)
+    d = 10.0 ** np.array(scales[:n], dtype=float)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x = d[:, None] * (g + g.conj().T) * d[None, :]
+    hits = rng.random((n, n)) < 0.3
+    x[hits] += 10.0**defect_exponent * rng.normal(size=hits.sum())
+    want = [_reference_hermitian_error(x[:k, :k]) for k in range(1, n + 1)]
+    assert _block_errors(x) == want
+    if want[-1] is None:
+        numerics.check_hermitian(x)
+    else:
+        with pytest.raises(ValueError) as info:
+            numerics.check_hermitian(x)
+        assert str(info.value) == want[-1]
+
+
+def test_gc_map_rejects_a_non_hermitian_block_of_a_hermitian_matrix():
+    # the whole matrix and its 3 x 3 block pass the relative rule on their
+    # scale 1e6, but the 2 x 2 block, of scale 1, does not; the spectrum is
+    # on the orbit (eigvalsh reads the lower triangle), so only the block
+    # check can reject it
+    x = np.diag([0.0, 0.0, 1e6, 1e6]).astype(complex)
+    x[0, 1] = 1e-9
+    want = [_reference_hermitian_error(x[:k, :k]) for k in range(1, 5)]
+    assert want == [None, "matrix is not Hermitian (defect 1e-09)", None, None]
+    assert _block_errors(x) == want
+    with pytest.raises(ValueError, match=r"not Hermitian \(defect 1e-09\)"):
+        gc_map(x, grassmannian_shape(2, 4), gr24_profile(Fraction(10**6, 2)))
+
+
+def test_gc_map_checks_the_orbit_before_the_profile():
+    shape = fl3_shape()
+    bad = gc_core.EigenProfile((1, 1, -1))  # does not drop at step 1
+    for _ in range(2):  # the second call goes through the memo
+        with pytest.raises(ValueError, match="not on the orbit"):
+            gc_map(np.diag([2.0, 0.0, -1.0]), shape, bad)
+        with pytest.raises(ValueError, match="must drop strictly at step 1"):
+            gc_map(np.diag([1.0, 1.0, -1.0]), shape, bad)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [[1, 2j, 0], [-2j, 0, 0], [0, 0, np.inf]],
+        np.full((3, 3), np.nan),
+        [[1, 0, 0], [0, complex(0, np.nan), 0], [0, 0, -1]],
+    ],
+)
+def test_gc_map_rejects_non_finite_matrices(x):
+    # a NaN defect compared False against the tolerance: the first matrix
+    # mapped to a point and the second raised LinAlgError
+    with pytest.raises(ValueError, match="non-finite"):
+        gc_map(x, fl3_shape(), fl3_profile(1, 1))
+    with pytest.raises(ValueError, match="non-finite"):
+        numerics.check_hermitian(x)
 
 
 def test_constructor_input_validation():
@@ -383,6 +509,29 @@ def test_random_orbit_points_map_into_polytope(seed):
     x = q @ np.diag(vals) @ q.conj().T
     u = gc_map(x, shape, profile)
     assert contains(polytope, u)[0]
+
+
+def _reference_orbit_point(rng, profile):
+    """One orbit point as check 08 drew them before it drew each space's
+    points at once."""
+    vals = np.array([float(v) for v in profile.values])
+    n = len(vals)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    u_mat, _ = np.linalg.qr(g)
+    return u_mat @ np.diag(vals) @ u_mat.conj().T
+
+
+@pytest.mark.parametrize("count", [34, 334])
+def test_orbit_points_drawn_at_once_equal_the_per_point_loop(count):
+    from gcfloer import verify
+
+    ref_rng, rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    for space in SPACES.values():
+        profile = space.profile(UNIT)
+        want = np.array([_reference_orbit_point(ref_rng, profile) for _ in range(count)])
+        got = verify._random_orbit_points(rng, profile, count)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
