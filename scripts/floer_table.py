@@ -13,8 +13,7 @@ Usage:
 import argparse
 from fractions import Fraction
 
-from gcfloer.floer import m1_fl3, m1b_gr24
-from gcfloer.novikov import module_presentation
+from gcfloer.novikov import m1_fl3, m1b_gr24, module_presentation
 
 
 def fmt(dec):

@@ -15,11 +15,8 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import floer, gc_core, potential, verify
-from .novikov import as_fraction, module_presentation
-from .numerics import NonConvergenceError
+from . import gc_core, numerics, potential, verify
+from .novikov import as_fraction, delta_pair_gr24, m1_fl3, m1b_gr24, module_presentation
 from .spaces import SPACES
 
 
@@ -40,7 +37,8 @@ def rational(text):
 
 
 def _complex_pair(z):
-    return [float(np.real(z)), float(np.imag(z))]
+    z = complex(z)
+    return [z.real, z.imag]
 
 
 def _frac_pair(f):
@@ -214,14 +212,14 @@ def cmd_floer(args):
         )
         return 2
     if args.space == "Fl3":
-        d = floer.m1_fl3(args.l1, args.l2)
+        d = m1_fl3(args.l1, args.l2)
         label = f"m1_fl3({args.l1}, {args.l2})"
     elif args.pair:
-        d = floer.delta_pair_gr24(args.lam)
+        d = delta_pair_gr24(args.lam)
         label = f"delta_pair_gr24({args.lam})"
     else:
         x = complex(float(args.x_re), float(args.x_im))
-        d = floer.m1b_gr24(args.lam, args.t, x)
+        d = m1b_gr24(args.lam, args.t, x)
         label = f"m1b_gr24({args.lam}, {args.t}, x={x})"
     dec = module_presentation(d, ring=args.ring)
     doc = {
@@ -329,12 +327,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NonConvergenceError as exc:
-        print(f"error: numeric non-convergence: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # NonConvergenceError is a RuntimeError.  Classifying one is the only
+        # use the CLI itself makes of numerics, which loads numpy
+        if not isinstance(exc, numerics.NonConvergenceError):
+            raise
+        print(f"error: numeric non-convergence: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

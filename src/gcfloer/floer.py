@@ -1,12 +1,12 @@
-"""Holomorphic disks, disk-count integrals, and Floer differentials of the
-non-torus Gelfand-Cetlin fibers.
+"""Holomorphic disks and disk-count integrals of the non-torus
+Gelfand-Cetlin fibers.
 
 The Maslov-4 disks of the S^3 fiber in Fl(3) and the U(n) fibers in
 Gr(n,2n) admit explicit rational parametrizations; their areas are checked
 by pulling back the (weighted) Fubini-Study forms to the unit disk through
-the Cayley transform.  The Floer differentials are assembled from their
-closed forms and cross-validated against the disk-count integrals, then
-decomposed as Novikov modules.
+the Cayley transform.  The Floer differentials are built from their closed
+forms in novikov, which needs no numpy; the disk-count integrals here
+cross-validate their coefficients.
 """
 
 import math
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .novikov import DEFAULT_TRUNCATION, NovikovMatrix, NovikovSeries, as_fraction
+from .novikov import m1_fl3, m1b_gr24  # noqa: F401  (callers import them from floer)
 from .numerics import integrate_periodic
 
 WINDING_SAMPLES = 4000  # points of R + {inf} on which a disk's winding is counted
@@ -390,89 +390,7 @@ def pair_series(K=40):
 
 
 # ---------------------------------------------------------------------------
-# Floer differentials and modules
-
-
-def _below_truncation(valuation):
-    """Reject an entry whose leading term NovikovSeries would cut away,
-    which would turn the differential into 0."""
-    if valuation >= DEFAULT_TRUNCATION:
-        raise ValueError(
-            f"differential entry starts at T^{valuation}, at or above the "
-            f"series truncation T^{DEFAULT_TRUNCATION}"
-        )
-
-
-def m1_fl3(l1, l2):
-    """Floer differential of the S^3 fiber on the basis (e0, e3):
-    e3 -> (T^{l1} + T^{l2}) e0; raises ValueError when min(l1, l2) reaches
-    DEFAULT_TRUNCATION.
-
-    The + sign comes from the orientations of the disk classes beta1 and
-    beta2, and at l1 = l2 it decides the answer: 2 T^{l1} gives torsion
-    [l1], while T^{l1} - T^{l1} = 0 would give a free module of rank 2.
-    For l1 != l2 the entry has valuation min(l1, l2) with either sign."""
-    l1 = as_fraction(l1)
-    l2 = as_fraction(l2)
-    if l1 <= 0 or l2 <= 0:
-        raise ValueError("l1, l2 must be positive")
-    _below_truncation(min(l1, l2))
-    f = NovikovSeries(((l1, 1.0), (l2, 1.0)))
-    z = NovikovSeries.zero()
-    return NovikovMatrix([[z, f], [z, z]])
-
-
-def m1b_gr24(lam, t, x):
-    """Deformed Floer differential of the U(2) fiber L_t on the basis
-    (e0, e1, e3, e1 e3): e3 -> f e0 and e1 e3 -> f e1 with
-    f = e^x T^{lam + t} + e^{-x} T^{lam - t}; raises ValueError when e^x or
-    e^{-x} overflows or lam - |t| reaches DEFAULT_TRUNCATION."""
-    lam = as_fraction(lam)
-    t = as_fraction(t)
-    if not -lam < t < lam:
-        raise ValueError("need -lam < t < lam")
-    _below_truncation(lam - abs(t))
-    x = complex(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        hol = np.exp(x), np.exp(-x)
-    if not all(np.isfinite(h) for h in hol):
-        raise ValueError(f"holonomy e^(+-x) overflows at x = {x}")
-    f = NovikovSeries(((lam + t, hol[0]), (lam - t, hol[1])))
-    z = NovikovSeries.zero()
-    return NovikovMatrix(
-        [
-            [z, z, f, z],
-            [z, z, z, f],
-            [z, z, z, z],
-            [z, z, z, z],
-        ]
-    )
-
-
-def delta_pair_gr24(lam):
-    """Floer differential of the pair (L_0, +b), (L_0, -b) at b = i pi/2 e1:
-    e3 -> (16/3pi) T^lam e0 and e1 e3 -> (32/3pi) T^lam e1.
-
-    The coefficients are the closed forms; 2 pair_series(K), the disk-count
-    quadrature summed over both disk classes, reproduces 16/(3 pi), which
-    verify check 06 holds to 1e-9.  Raises ValueError when lam reaches
-    DEFAULT_TRUNCATION."""
-    lam = as_fraction(lam)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    _below_truncation(lam)
-    coeff = 16.0 / (3.0 * np.pi)
-    f1 = NovikovSeries(((lam, coeff),))
-    f2 = NovikovSeries(((lam, 2.0 * coeff),))
-    z = NovikovSeries.zero()
-    return NovikovMatrix(
-        [
-            [z, z, f1, z],
-            [z, z, z, f2],
-            [z, z, z, z],
-            [z, z, z, z],
-        ]
-    )
+# displacement energy
 
 
 def displacement_energy_bound(lam, t):

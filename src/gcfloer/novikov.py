@@ -10,9 +10,15 @@ Module decompositions come from fraction-free elimination over Lambda_0:
 each step scales the other rows by the unit part of the pivot and subtracts
 a Lambda_0 multiple of the pivot row, so no series is ever inverted and the
 cost does not depend on how small the exponent gaps are.
+
+The Floer differentials of the reference fibers (m1_fl3, m1b_gr24,
+delta_pair_gr24) are built here from their closed forms.  This module
+needs no numpy, so the floer command runs without it.
 """
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -350,4 +356,118 @@ def module_presentation(d, two_step=False, ring="Lambda0"):
         warnings,
         min_pivot_coefficient=min_accepted,
         max_rejected_pivot_coefficient=max_rejected,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Floer differentials of the reference fibers
+
+_E709 = math.exp(709)
+
+
+def _cexp(z):
+    """e^z for finite z, bit for bit as np.exp gives it through glibc's cexp:
+    cos and sin of Im z are scaled by e^709 (at most twice) while Re z
+    exceeds 709, so that e^z stays finite wherever its parts fit in a
+    double; beyond 3 * 709 the result is DBL_MAX times the scaled cos and
+    sin, whose real part is infinite."""
+    re, c, s = z.real, math.cos(z.imag), math.sin(z.imag)
+    for _ in range(2):
+        if re > 709:
+            re -= 709
+            c, s = c * _E709, s * _E709
+    ev = math.exp(re) if re <= 709 else sys.float_info.max
+    return complex(ev * c, ev * s)
+
+
+def _below_truncation(valuation):
+    """Reject an entry whose leading term NovikovSeries would cut away,
+    which would turn the differential into 0."""
+    if valuation >= DEFAULT_TRUNCATION:
+        raise ValueError(
+            f"differential entry starts at T^{valuation}, at or above the "
+            f"series truncation T^{DEFAULT_TRUNCATION}"
+        )
+
+
+def _finite_modulus(z):
+    """|z| is a finite double.  NovikovSeries compares |coefficient| with
+    COEFF_PRUNE, and abs raises OverflowError where both parts of z are
+    finite but its modulus is not."""
+    try:
+        return math.isfinite(abs(z))
+    except OverflowError:
+        return False
+
+
+def m1_fl3(l1, l2):
+    """Floer differential of the S^3 fiber on the basis (e0, e3):
+    e3 -> (T^{l1} + T^{l2}) e0; raises ValueError when min(l1, l2) reaches
+    DEFAULT_TRUNCATION.
+
+    The + sign comes from the orientations of the disk classes beta1 and
+    beta2, and at l1 = l2 it decides the answer: 2 T^{l1} gives torsion
+    [l1], while T^{l1} - T^{l1} = 0 would give a free module of rank 2.
+    For l1 != l2 the entry has valuation min(l1, l2) with either sign."""
+    l1 = as_fraction(l1)
+    l2 = as_fraction(l2)
+    if l1 <= 0 or l2 <= 0:
+        raise ValueError("l1, l2 must be positive")
+    _below_truncation(min(l1, l2))
+    f = NovikovSeries(((l1, 1.0), (l2, 1.0)))
+    z = NovikovSeries.zero()
+    return NovikovMatrix([[z, f], [z, z]])
+
+
+def m1b_gr24(lam, t, x):
+    """Deformed Floer differential of the U(2) fiber L_t on the basis
+    (e0, e1, e3, e1 e3): e3 -> f e0 and e1 e3 -> f e1 with
+    f = e^x T^{lam + t} + e^{-x} T^{lam - t}; raises ValueError when e^x or
+    e^{-x} overflows (a part or the modulus exceeds the largest double) or
+    lam - |t| reaches DEFAULT_TRUNCATION."""
+    lam = as_fraction(lam)
+    t = as_fraction(t)
+    if not -lam < t < lam:
+        raise ValueError("need -lam < t < lam")
+    _below_truncation(lam - abs(t))
+    x = complex(x)
+    # a non-finite x leaves e^x or e^-x non-finite, as np.exp does
+    hol = (_cexp(x), _cexp(-x)) if cmath.isfinite(x) else (x,)
+    if not all(map(_finite_modulus, hol)):
+        raise ValueError(f"holonomy e^(+-x) overflows at x = {x}")
+    f = NovikovSeries(((lam + t, hol[0]), (lam - t, hol[1])))
+    z = NovikovSeries.zero()
+    return NovikovMatrix(
+        [
+            [z, z, f, z],
+            [z, z, z, f],
+            [z, z, z, z],
+            [z, z, z, z],
+        ]
+    )
+
+
+def delta_pair_gr24(lam):
+    """Floer differential of the pair (L_0, +b), (L_0, -b) at b = i pi/2 e1:
+    e3 -> (16/3pi) T^lam e0 and e1 e3 -> (32/3pi) T^lam e1.
+
+    The coefficients are the closed forms; 2 pair_series(K), the disk-count
+    quadrature summed over both disk classes, reproduces 16/(3 pi), which
+    verify check 06 holds to 1e-9.  Raises ValueError when lam reaches
+    DEFAULT_TRUNCATION."""
+    lam = as_fraction(lam)
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    _below_truncation(lam)
+    coeff = 16.0 / (3.0 * math.pi)
+    f1 = NovikovSeries(((lam, coeff),))
+    f2 = NovikovSeries(((lam, 2.0 * coeff),))
+    z = NovikovSeries.zero()
+    return NovikovMatrix(
+        [
+            [z, z, f1, z],
+            [z, z, z, f2],
+            [z, z, z, z],
+            [z, z, z, z],
+        ]
     )

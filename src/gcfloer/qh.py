@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gc_core
+from . import flags
 from .numerics import complex_eigenvalues
 
 
@@ -95,11 +95,11 @@ def c1_matrix(shape):
 
 
 def c1_eigenvalues_grassmannian(k, n, q_value):
-    return complex_eigenvalues(c1_matrix(gc_core.grassmannian_shape(k, n)).at(q_value))
+    return complex_eigenvalues(c1_matrix(flags.grassmannian_shape(k, n)).at(q_value))
 
 
 def fl3_c1_eigenvalues(q1_value, q2_value):
-    return complex_eigenvalues(c1_matrix(gc_core.fl3_shape()).at(q1_value, q2_value))
+    return complex_eigenvalues(c1_matrix(flags.fl3_shape()).at(q1_value, q2_value))
 
 
 def multiset_match(a, b, tol, allow_zero_padding=False):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
-from . import gc_core, potential, qh
+from . import flags, potential, qh
 
 UNIT = SimpleNamespace(l1=1, l2=1, lam=1)
 
@@ -17,7 +17,7 @@ UNIT = SimpleNamespace(l1=1, l2=1, lam=1)
 @dataclass(frozen=True)
 class Space:
     name: str
-    shape: gc_core.FlagShape
+    shape: flags.FlagShape
     profile: Callable  # params -> EigenProfile
     candidates: Callable  # params -> closed-form CriticalCandidates
     critical_values: Callable  # (params, T0) -> critical values at T0
@@ -61,7 +61,7 @@ def _fl3_candidates(p):
 
 
 def _fl3_critical_values(p, T0):
-    po = potential.build_potential(gc_core.fl3_shape(), gc_core.fl3_profile(p.l1, p.l2))
+    po = potential.build_potential(flags.fl3_shape(), flags.fl3_profile(p.l1, p.l2))
     points = potential.fl3_critical_points(p.l1, p.l2, T0)
     return [potential.evaluate(po, y, T0) for y in points]
 
@@ -70,15 +70,15 @@ def _grassmannian(name, k, n, profile, pad_zeros=False):
     def blocks(p):
         return profile(p.lam).value(1), profile(p.lam).value(n)
 
-    return Space(name, gc_core.grassmannian_shape(k, n), lambda p: profile(p.lam),
+    return Space(name, flags.grassmannian_shape(k, n), lambda p: profile(p.lam),
                  lambda p: potential.grassmannian_critical_candidates(k, n, *blocks(p)),
                  lambda p, T0: potential.grassmannian_critical_values(k, n, *blocks(p), T0),
                  lambda q: qh.c1_eigenvalues_grassmannian(k, n, *q), pad_zeros)
 
 
 SPACES = {space.name: space for space in (
-    Space("Fl3", gc_core.fl3_shape(), lambda p: gc_core.fl3_profile(p.l1, p.l2),
+    Space("Fl3", flags.fl3_shape(), lambda p: flags.fl3_profile(p.l1, p.l2),
           _fl3_candidates, _fl3_critical_values, lambda q: qh.fl3_c1_eigenvalues(*q)),
-    _grassmannian("Gr24", 2, 4, gc_core.gr24_profile, pad_zeros=True),
-    _grassmannian("Gr25", 2, 5, gc_core.gr25_profile),
+    _grassmannian("Gr24", 2, 4, flags.gr24_profile, pad_zeros=True),
+    _grassmannian("Gr25", 2, 5, flags.gr25_profile),
 )}

@@ -18,7 +18,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import floer, gc_core, potential, qh
-from .novikov import NovikovMatrix, NovikovSeries, module_presentation
+from .novikov import (
+    NovikovMatrix,
+    NovikovSeries,
+    delta_pair_gr24,
+    m1_fl3,
+    m1b_gr24,
+    module_presentation,
+)
 from .spaces import SPACES, UNIT
 
 
@@ -250,20 +257,20 @@ def check_disk_integrals(fast=False):
 
 def check_floer_modules(fast=False):
     problems = []
-    dec = module_presentation(floer.m1_fl3(0.3, 0.7))
+    dec = module_presentation(m1_fl3(0.3, 0.7))
     if dec.free_rank != 0 or dec.torsion_exponents != (Fraction(3, 10),):
         problems.append(f"m1_fl3(0.3,0.7): {dec.to_dict()}")
-    if module_presentation(floer.m1_fl3(0.3, 0.7), ring="Lambda").lambda_rank() != 0:
+    if module_presentation(m1_fl3(0.3, 0.7), ring="Lambda").lambda_rank() != 0:
         problems.append("m1_fl3 Lambda-rank nonzero")
-    dec = module_presentation(floer.m1b_gr24(1, 0.5, 0.0))
+    dec = module_presentation(m1b_gr24(1, 0.5, 0.0))
     if dec.torsion_exponents != (Fraction(1, 2), Fraction(1, 2)):
         problems.append(f"m1b_gr24(1,0.5,0): {dec.to_dict()}")
     for x in (0.5j * np.pi, -0.5j * np.pi):
         for ring in ("Lambda0", "Lambda"):
-            dec = module_presentation(floer.m1b_gr24(1, 0, x), ring=ring)
+            dec = module_presentation(m1b_gr24(1, 0, x), ring=ring)
             if dec.free_rank != 4 or dec.torsion_exponents:
                 problems.append(f"m1b_gr24(1,0,{x}) over {ring}: {dec.to_dict()}")
-    d = floer.delta_pair_gr24(1)
+    d = delta_pair_gr24(1)
     dec = module_presentation(d)
     if dec.free_rank != 0 or dec.torsion_exponents != (Fraction(1), Fraction(1)):
         problems.append(f"delta_pair_gr24(1): {dec.to_dict()}")

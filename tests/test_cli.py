@@ -186,6 +186,17 @@ def test_floer_overflowing_holonomy_is_invalid_input(capsys):
     assert "overflows" in err
 
 
+def test_floer_holonomy_modulus_overflow_is_invalid_input(capsys):
+    # both parts of e^x are finite here but |e^x| is not; NovikovSeries died
+    # in abs() with an OverflowError and the CLI exited 1 with a traceback
+    for x_re in ("709.7827128933841", "-709.7827128933841"):
+        code, out, err = run(capsys, "floer", "Gr24", "--lam", "1", "--t", "1/2",
+                             "--x-re", x_re, "--x-im", "1/2")
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
+
+
 def test_floer_fl3(capsys):
     code, out, _ = run(capsys, "floer", "Fl3", "--l1", "3/10", "--l2", "7/10")
     assert code == 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gcfloer import floer
 from gcfloer.floer import (
-    delta_pair_gr24,
     disk_area,
     displacement_energy_bound,
     fl3_disk,
@@ -17,13 +16,19 @@ from gcfloer.floer import (
     gr_disk,
     involution_fl3,
     involution_gr24,
-    m1_fl3,
-    m1b_gr24,
     open_gw_integral,
     pair_integral,
     projective_equal,
 )
-from gcfloer.novikov import NovikovMatrix, NovikovSeries, module_presentation
+from gcfloer.novikov import (
+    COEFF_PRUNE,
+    NovikovMatrix,
+    NovikovSeries,
+    delta_pair_gr24,
+    m1_fl3,
+    m1b_gr24,
+    module_presentation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +237,57 @@ def test_m1b_gr24_rejects_overflowing_holonomy(x):
         m1b_gr24(1, Fraction(1, 2), x)
     # e^700 is still finite
     m1b_gr24(1, Fraction(1, 2), 700.0)
+
+
+def _holonomies(d, lam, t):
+    """(e^x, e^-x) as the coefficients of T^(lam+t) and T^(lam-t) in f; a
+    coefficient pruned as below COEFF_PRUNE reads None."""
+    f = d.entries[0][2]
+    assert d.entries[1][3] == f
+    terms = dict(f.terms)
+    return terms.get(lam + t), terms.get(lam - t)
+
+
+def _same_bits(a, b):
+    return all(math.copysign(1.0, u) == math.copysign(1.0, v) and u == v
+               for u, v in ((a.real, b.real), (a.imag, b.imag)))
+
+
+def test_m1b_gr24_holonomy_matches_np_exp_bit_for_bit():
+    # the holonomies are formed without numpy; they must equal np.exp's, bit
+    # for bit, up to and through the band where glibc's cexp rescales by
+    # e^709, and the overflow error must fall exactly where np.exp's result
+    # or its modulus is not finite
+    reals = np.concatenate([np.linspace(700.0, 710.0, 41), np.linspace(709.7, 709.8, 41),
+                            [0.0, 1.0, 30.0, 709.5, 709.7827128933840, 709.7827128933841,
+                             1418.5, 2200.0]])
+    imags = [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-12, -1e-9, 0.5, 2.0, -3.0, np.pi / 2]
+    t = Fraction(1, 2)
+    checked = raised = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for re in reals:
+            for sign in (1.0, -1.0):
+                for im in imags:
+                    x = complex(sign * re, im)
+                    want = (complex(np.exp(x)), complex(np.exp(-x)))
+                    if not all(np.isfinite(np.abs(want))):
+                        with pytest.raises(ValueError, match="overflows"):
+                            m1b_gr24(1, t, x)
+                        raised += 1
+                        continue
+                    got = _holonomies(m1b_gr24(1, t, x), 1, t)
+                    for g, w in zip(got, want):
+                        if abs(w) < COEFF_PRUNE:
+                            assert g is None, x
+                        else:
+                            # NovikovSeries adds each coefficient to 0j, which
+                            # clears the sign of a zero part
+                            assert _same_bits(g, 0j + w), x
+                    checked += 1
+    assert checked > 1500 and raised > 200
+    for x in (complex(math.inf, 0), complex(-math.inf, 0), complex(0, math.nan)):
+        with pytest.raises(ValueError, match="overflows"):
+            m1b_gr24(1, t, x)
 
 
 def test_m1b_gr24_unobstructed_at_critical_b():

@@ -564,9 +564,15 @@ def test_gc_map_interlaces(seed, halves):
 
 
 def test_verify_import_loads_no_pool_or_polynomial():
-    # importing gcfloer.verify is all the set-up verify-all pays
+    # loading every gcfloer module is all the set-up verify-all pays.  The
+    # submodules load lazily, so import alone would execute none of them:
+    # reading each one's namespace (as perfbench's tracer does) runs it first
     code = (
         "import sys, gcfloer.verify; "
+        "names = [n for n in sys.modules if n.startswith('gcfloer.')]; "
+        "assert len(names) >= 8, names; "
+        "[vars(sys.modules[n]) for n in names]; "
+        "assert 'numpy' in sys.modules; "
         "loaded = [m for m in ('multiprocessing', 'concurrent.futures', 'numpy.polynomial') "
         "if m in sys.modules]; "
         "assert not loaded, loaded"

@@ -11,6 +11,9 @@ To record the files afresh after a deliberate output change, run
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +22,7 @@ import pytest
 from gcfloer.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CASES = {
     "readme_polytope_gr24": ["polytope", "Gr24", "--lam", "1", "--at", "0.3,0.3,0.3,0.3"],
@@ -51,6 +55,24 @@ def record(argv):
 def test_golden_cli_output(name):
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert record(CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("readme_floer")))
+def test_cold_floer_runs_without_numpy(name):
+    # floer is exact Novikov elimination in pure Python; a cold
+    # `python -m gcfloer.cli floer ...` must not pay for importing numpy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gcfloer.cli", *CASES[name]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert (proc.returncode, proc.stdout) == (expected["exit"], expected["stdout"])
+    # "import time: <self us> | <cumulative us> | <indent><module>"
+    imported = re.findall(r"^import time:[^|]*\|[^|]*\| +(\S+)$", proc.stderr, re.M)
+    assert "gcfloer" in imported
+    assert not [m for m in imported if m.split(".")[0] == "numpy"]
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,16 +7,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_floer_table_fine_grid():
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_floer_table_fine_grid():
     out = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "floer_table.py"), "--denom", "100"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(),
         timeout=60,
         check=True,
     ).stdout
@@ -23,3 +28,22 @@ def test_floer_table_fine_grid():
     assert "t =  1/100: free 0, torsion [99/100, 99/100]; rank over Lambda = 0" in lines
     assert "t = -1/100: free 0, torsion [99/100, 99/100]; rank over Lambda = 0" in lines
     assert len([line for line in lines if line.startswith("t =")]) == 199
+
+
+def test_perfbench_cli_child_traces_a_floer_call(tmp_path):
+    # the tracer looks every traced module up in sys.modules and patches it,
+    # so the lazily loaded submodules must be registered there before use
+    out = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "cli_child.py"), str(out), "cli.floer",
+         "floer", "Fl3", "--l1", "3/10", "--l2", "7/10"],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        cwd=ROOT,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["decomposition"] == {"free_rank": 0, "torsion": [[3, 10]]}
+    spans = json.loads(out.read_text())["spans"]
+    assert [(s[0], s[4]) for s in spans] == [("novikov.module_presentation", "cli.floer")]
