@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import gc_core, numerics, potential, verify
-from .novikov import as_fraction, delta_pair_gr24, m1_fl3, m1b_gr24, module_presentation
+from .novikov import as_fraction, module_presentation
 from .spaces import SPACES
 
 
@@ -45,7 +45,7 @@ def _frac_pair(f):
     return [f.numerator, f.denominator]
 
 
-def _emit(doc, fmt, csv_rows=None, csv_header=None):
+def _emit(doc, fmt="json", csv_rows=None, csv_header=None):
     if fmt == "csv" and csv_rows is not None:
         lines = [",".join(csv_header)]
         lines += [",".join(str(v) for v in row) for row in csv_rows]
@@ -56,11 +56,9 @@ def _emit(doc, fmt, csv_rows=None, csv_header=None):
 
 def _add_space_args(sub):
     sub.add_argument("space", choices=tuple(SPACES))
-    sub.add_argument("--l1", type=rational, default=Fraction(1), help="Fl3 lambda_1")
-    sub.add_argument("--l2", type=rational, default=Fraction(1), help="Fl3 lambda_2")
-    sub.add_argument(
-        "--lam", type=rational, default=Fraction(1), help="Grassmannian lambda"
-    )
+    sub.add_argument("--l1", type=rational, default=Fraction(1), help="full-flag lambda_1")
+    sub.add_argument("--l2", type=rational, default=Fraction(1), help="full-flag lambda_2")
+    sub.add_argument("--lam", type=rational, default=Fraction(1), help="Grassmannian lambda")
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +79,7 @@ def cmd_polytope(args):
             print("error: point is not in the polytope", file=sys.stderr)
             return 2
         diamonds = gc_core.detect_diamonds(shape, profile, point)
-        fiber = gc_core.classify_fiber(polytope, point)
+        fiber = gc_core.classify_fiber(polytope, point, space.strata)
     doc = gc_core.polytope_to_json(polytope, point=point, fiber=fiber)
     doc["space"] = args.space
     doc["facet_count"] = sum(1 for iq in polytope.inequalities if iq.facet)
@@ -199,28 +197,17 @@ def cmd_match(args):
         "eigenvalues": [_complex_pair(v) for v in eigs],
         "pairing": [list(p) for p in pairing],
     }
-    _emit(doc, args.format)
+    _emit(doc)
     return 0
 
 
 def cmd_floer(args):
-    if args.space == "Gr25":
-        print(
-            "error: Gr25 Floer differentials are out of scope "
-            "(vanishing follows from displaceability)",
-            file=sys.stderr,
+    space = SPACES[args.space]
+    if space.floer is None:
+        raise ValueError(
+            f"{args.space} Floer differentials are out of scope ({space.out_of_scope})"
         )
-        return 2
-    if args.space == "Fl3":
-        d = m1_fl3(args.l1, args.l2)
-        label = f"m1_fl3({args.l1}, {args.l2})"
-    elif args.pair:
-        d = delta_pair_gr24(args.lam)
-        label = f"delta_pair_gr24({args.lam})"
-    else:
-        x = complex(float(args.x_re), float(args.x_im))
-        d = m1b_gr24(args.lam, args.t, x)
-        label = f"m1b_gr24({args.lam}, {args.t}, x={x})"
+    label, d = space.floer(args)
     dec = module_presentation(d, ring=args.ring)
     doc = {
         "space": args.space,
@@ -231,7 +218,7 @@ def cmd_floer(args):
         "lambda_rank": dec.lambda_rank(),
         "warnings": list(dec.warnings),
     }
-    _emit(doc, args.format)
+    _emit(doc)
     return 0
 
 
@@ -293,8 +280,8 @@ def build_parser():
     p = sub.add_parser("qh", help="c1 eigenvalues; CSV columns: re, im")
     p.add_argument("space", choices=tuple(SPACES))
     p.add_argument("--q", type=rational, help="Grassmannian q (default 1)")
-    p.add_argument("--q1", type=rational, help="Fl3 q1 (default 1)")
-    p.add_argument("--q2", type=rational, help="Fl3 q2 (default 1)")
+    p.add_argument("--q1", type=rational, help="full-flag q1 (default 1)")
+    p.add_argument("--q2", type=rational, help="full-flag q2 (default 1)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_qh)
 
@@ -302,17 +289,15 @@ def build_parser():
     _add_space_args(p)
     p.add_argument("--T0", type=rational, default=Fraction(1, 2))
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("floer", help="Floer differential and HF decomposition")
     _add_space_args(p)
-    p.add_argument("--t", type=rational, default=Fraction(0), help="Gr24 level t")
+    p.add_argument("--t", type=rational, default=Fraction(0), help="U(2) fiber level t")
     p.add_argument("--x-re", type=rational, default=Fraction(0))
     p.add_argument("--x-im", type=rational, default=Fraction(0))
     p.add_argument("--ring", choices=("Lambda0", "Lambda"), default="Lambda0")
     p.add_argument("--pair", action="store_true", help="(L0, b), (L0, -b) pair")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_floer)
 
     p = sub.add_parser("verify-all", help="run the verification suite")

@@ -8,7 +8,6 @@ be built without loading the numeric layers.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .novikov import as_fraction
 
@@ -77,35 +76,14 @@ class EigenProfile:
         return self.values[i - 1]
 
 
-def fl3_shape():
-    return FlagShape((1, 2), 3)
-
-
 def grassmannian_shape(k, n):
     return FlagShape((k,), n)
-
-
-def fl3_profile(l1, l2):
-    """Fl(3) as the orbit of diag(l1, 0, -l2)."""
-    return EigenProfile((as_fraction(l1), Fraction(0), -as_fraction(l2)))
-
-
-def gr24_profile(lam):
-    """Gr(2,4) as the orbit of diag(2 lam, 2 lam, 0, 0)."""
-    q = 2 * as_fraction(lam)
-    return EigenProfile((q, q, Fraction(0), Fraction(0)))
 
 
 def gr2n_profile(n, lam):
     """Gr(n,2n) as the orbit of diag(lam, ..., -lam)."""
     lam = as_fraction(lam)
     return EigenProfile((lam,) * n + (-lam,) * n)
-
-
-def gr25_profile(lam):
-    """Gr(2,5) as the orbit of diag(lam, lam, 0, 0, 0)."""
-    lam = as_fraction(lam)
-    return EigenProfile((lam, lam, Fraction(0), Fraction(0), Fraction(0)))
 
 
 def is_constant_entry(shape, profile, i, k):

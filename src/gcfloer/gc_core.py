@@ -16,18 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .flags import (  # noqa: F401  (re-exported: gc_core.FlagShape, ...)
-    EigenProfile,
-    FlagShape,
-    fl3_profile,
-    fl3_shape,
-    gr24_profile,
-    gr25_profile,
-    gr2n_profile,
-    grassmannian_shape,
-    index_set,
-    is_constant_entry,
-)
+from .flags import EigenProfile, FlagShape, index_set, is_constant_entry
 from .numerics import leading_block_defects, require_hermitian
 
 GC_TOL = 1e-8  # gap at which two pattern values, or a point and a facet, count as equal
@@ -396,12 +385,13 @@ class FiberDescriptor:
     annotations: tuple = ()
 
 
-def classify_fiber(polytope, u):
+def classify_fiber(polytope, u, strata=()):
     """Classify the Gelfand-Cetlin fiber over u in a built polytope.
 
-    The polytope's shape selects the rows of the stratum table: Fl(3),
-    Gr(2,4) or Gr(2,5).  Strata beyond the hard-coded table, and every
-    non-torus fiber of any other shape, come back as unknown-nonsmooth.
+    A point without diamonds lies on a torus fiber.  Otherwise the first of
+    strata (a space's spaces.Stratum rows) whose diamonds are u's and whose
+    test u passes names the fiber, and a point on no row comes back as
+    unknown-nonsmooth.
     """
     shape, profile = polytope.shape, polytope.profile
     if not isinstance(u, GCPoint):
@@ -410,60 +400,15 @@ def classify_fiber(polytope, u):
     if not inside:
         raise ValueError("point is not in the polytope")
     n_dim = len(polytope.index)
-    diamonds = detect_diamonds(shape, profile, u)
+    diamonds = tuple(detect_diamonds(shape, profile, u))
     if not diamonds:
         dim = face_dimension(polytope, u)
         return FiberDescriptor("torus", dim, dim == n_dim)
-
-    vals = u.values
-    vmax = float(max(profile.values))
-    vmin = float(min(profile.values))
-    mid_block = (vmax + vmin) / 2.0
-
-    if shape == fl3_shape() and diamonds == [(2, 1)]:
-        center = float(profile.value(2))
-        if all(abs(v - center) <= GC_TOL for v in vals):
-            return FiberDescriptor("S3", 3, True)
-    if shape == grassmannian_shape(2, 4) and diamonds == [(2, 1)]:
-        t = vals[0]
-        if (
-            all(abs(v - t) <= GC_TOL for v in vals)
-            and vmin + GC_TOL < t < vmax - GC_TOL
-        ):
-            ann = () if abs(t - mid_block) <= GC_TOL else ("displaceable",)
-            return FiberDescriptor("U2", 4, True, ann)
-    if shape == grassmannian_shape(2, 5):
-        lamf = vmax
-        ann = ("displaceable", "HF vanishes over Lambda")
-        if diamonds == [(2, 1)]:
-            # L1(s1, s2, t): u = (s2, s1, t, t, t, t), lam > s1 > s2 > t > 0
-            s2v, s1v, t = vals[0], vals[1], vals[2]
-            if (
-                all(abs(v - t) <= GC_TOL for v in vals[2:])
-                and lamf - GC_TOL > s1v > s2v + GC_TOL
-                and s2v > t + GC_TOL
-                and t > GC_TOL
-            ):
-                return FiberDescriptor("U2xT2", 6, True, ann)
-        if diamonds == [(3, 1)]:
-            # L2(s1, s2, t): u = (t, t, t, t, s1, s2), 0 < s1 < s2 < t < lam
-            t, s1v, s2v = vals[0], vals[4], vals[5]
-            if (
-                all(abs(v - t) <= GC_TOL for v in vals[:4])
-                and GC_TOL < s1v < s2v - GC_TOL
-                and s2v < t - GC_TOL
-                and t < lamf - GC_TOL
-            ):
-                return FiberDescriptor("U2xT2", 6, True, ann)
-        if sorted(diamonds) == [(2, 1), (3, 1)]:
-            # all entries equal t in (0, lam): a U(2) fiber of dimension 4,
-            # isotropic but not Lagrangian.
-            t = vals[0]
-            if (
-                all(abs(v - t) <= GC_TOL for v in vals)
-                and GC_TOL < t < lamf - GC_TOL
-            ):
-                return FiberDescriptor("U2", 4, False)
+    blocks = tuple(float(v) for v in dict.fromkeys(profile.values))
+    for row in strata:
+        if row.diamonds == diamonds and row.test(u.values, blocks, GC_TOL):
+            return FiberDescriptor(row.kind, row.real_dimension, row.lagrangian,
+                                   row.annotations)
     return FiberDescriptor("unknown-nonsmooth", -1, False)
 
 

@@ -45,9 +45,21 @@ def as_fraction(x):
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 
+def _modulus(z):
+    """|z|, or ValueError when it is not a finite double."""
+    try:
+        size = abs(z)
+    except OverflowError:  # both parts are finite, the modulus is not
+        size = math.inf
+    if not size < math.inf:  # inf or nan
+        raise ValueError(f"coefficient {z} has no finite modulus")
+    return size
+
+
 @dataclass(frozen=True)
 class NovikovSeries:
-    """A truncated Novikov series: sorted (exponent, coefficient) pairs."""
+    """A truncated Novikov series: sorted (exponent, coefficient) pairs.  A
+    coefficient (after merging) without a finite modulus raises ValueError."""
 
     terms: tuple = ()
     truncation: Fraction = DEFAULT_TRUNCATION
@@ -61,7 +73,7 @@ class NovikovSeries:
         cleaned = tuple(
             (exp, merged[exp])
             for exp in sorted(merged)
-            if abs(merged[exp]) >= COEFF_PRUNE and exp < trunc
+            if _modulus(merged[exp]) >= COEFF_PRUNE and exp < trunc
         )
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "truncation", trunc)
@@ -390,16 +402,6 @@ def _below_truncation(valuation):
         )
 
 
-def _finite_modulus(z):
-    """|z| is a finite double.  NovikovSeries compares |coefficient| with
-    COEFF_PRUNE, and abs raises OverflowError where both parts of z are
-    finite but its modulus is not."""
-    try:
-        return math.isfinite(abs(z))
-    except OverflowError:
-        return False
-
-
 def m1_fl3(l1, l2):
     """Floer differential of the S^3 fiber on the basis (e0, e3):
     e3 -> (T^{l1} + T^{l2}) e0; raises ValueError when min(l1, l2) reaches
@@ -432,10 +434,11 @@ def m1b_gr24(lam, t, x):
     _below_truncation(lam - abs(t))
     x = complex(x)
     # a non-finite x leaves e^x or e^-x non-finite, as np.exp does
-    hol = (_cexp(x), _cexp(-x)) if cmath.isfinite(x) else (x,)
-    if not all(map(_finite_modulus, hol)):
-        raise ValueError(f"holonomy e^(+-x) overflows at x = {x}")
-    f = NovikovSeries(((lam + t, hol[0]), (lam - t, hol[1])))
+    hol = (_cexp(x), _cexp(-x)) if cmath.isfinite(x) else (x, x)
+    try:
+        f = NovikovSeries(((lam + t, hol[0]), (lam - t, hol[1])))
+    except ValueError:
+        raise ValueError(f"holonomy e^(+-x) overflows at x = {x}") from None
     z = NovikovSeries.zero()
     return NovikovMatrix(
         [

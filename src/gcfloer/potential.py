@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gc_core import EigenProfile, build_polytope, contains, grassmannian_shape, index_set
+from .flags import EigenProfile, grassmannian_shape, index_set
+from .gc_core import build_polytope, contains
 from .novikov import as_fraction
 from .numerics import NonConvergenceError, uniform_streams
 

@@ -99,7 +99,7 @@ def c1_eigenvalues_grassmannian(k, n, q_value):
 
 
 def fl3_c1_eigenvalues(q1_value, q2_value):
-    return complex_eigenvalues(c1_matrix(flags.fl3_shape()).at(q1_value, q2_value))
+    return complex_eigenvalues(c1_matrix(flags.FlagShape((1, 2), 3)).at(q1_value, q2_value))
 
 
 def multiset_match(a, b, tol, allow_zero_padding=False):

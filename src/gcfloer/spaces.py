@@ -1,28 +1,68 @@
 """The reference spaces Fl(3), Gr(2,4) and Gr(2,5), each defined once.
 
+A Space holds its flag shape, its block values as a function of the
+parameters, the closed forms of its critical points and values, c1 at the
+quantum parameters, its non-torus strata and its Floer differential.
 Parameters come from any object with l1, l2 and lam attributes (an argparse
-namespace, or UNIT); Fl3 reads l1 and l2. A Grassmannian (name, k, n, profile)
-reads lam; its closed forms come from one formula for every Gr(k, n) in potential.
+namespace, or UNIT); a differential may read more (Gr24: t, x_re, x_im, pair).
+Importing this module runs only flags and novikov: floer loads no numpy.
 """
 
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
-from . import flags, potential, qh
+from . import flags, novikov, potential, qh
+from .novikov import as_fraction
 
 UNIT = SimpleNamespace(l1=1, l2=1, lam=1)
+
+
+@dataclass(frozen=True)
+class Stratum:
+    """The fibers over the points u with these diamonds (gc_core.detect_diamonds)
+    for which test(u, blocks, tol) holds, blocks being the profile's block
+    values as floats, top first."""
+
+    diamonds: tuple
+    test: Callable
+    kind: str  # S3 | U2 | U2xT2
+    real_dimension: int
+    lagrangian: bool
+    annotations: tuple = ()
 
 
 @dataclass(frozen=True)
 class Space:
     name: str
     shape: flags.FlagShape
-    profile: Callable  # params -> EigenProfile
-    candidates: Callable  # params -> closed-form CriticalCandidates
-    critical_values: Callable  # (params, T0) -> critical values at T0
-    c1_eigenvalues: Callable  # q, one value per step -> sorted c1 eigenvalues
+    blocks: Callable  # params -> one value per block of the shape, top first
+    strata: tuple = ()  # Stratum rows, tried in order
+    floer: Callable = None  # params -> (label, Floer differential)
+    out_of_scope: str = ""  # why a space without floer has none
     pad_zeros: bool = False  # c1 has zero eigenvalues with no critical point
+    # a one-step shape derives those left None
+    candidates: Callable = None  # params -> closed-form CriticalCandidates
+    critical_values: Callable = None  # (params, T0) -> critical values at T0
+    c1_eigenvalues: Callable = None  # q, one value per step -> sorted c1 eigenvalues
+
+    def __post_init__(self):
+        if len(self.shape.steps) != 1:
+            return
+        (k,), n = self.shape.steps, self.shape.ambient  # Gr(k, n): Rietsch's formulas
+        derived = {
+            "candidates": lambda p: potential.grassmannian_critical_candidates(
+                k, n, *self.blocks(p)),
+            "critical_values": lambda p, T0: potential.grassmannian_critical_values(
+                k, n, *self.blocks(p), T0),
+            "c1_eigenvalues": lambda q: qh.c1_eigenvalues_grassmannian(k, n, *q),
+        }
+        for field, fn in derived.items():
+            if getattr(self, field) is None:
+                object.__setattr__(self, field, fn)
+
+    def profile(self, params):
+        return flags.EigenProfile.from_blocks(self.shape, self.blocks(params))
 
     @property
     def q_flags(self):
@@ -51,6 +91,10 @@ class Space:
         return values, eigs, matched, pairing
 
 
+# ---------------------------------------------------------------------------
+# Fl(3): the orbit of diag(l1, 0, -l2)
+
+
 def _fl3_candidates(p):
     if p.l1 != p.l2:
         raise ValueError(
@@ -61,24 +105,66 @@ def _fl3_candidates(p):
 
 
 def _fl3_critical_values(p, T0):
-    po = potential.build_potential(flags.fl3_shape(), flags.fl3_profile(p.l1, p.l2))
+    space = SPACES["Fl3"]
+    po = potential.build_potential(space.shape, space.profile(p))
     points = potential.fl3_critical_points(p.l1, p.l2, T0)
     return [potential.evaluate(po, y, T0) for y in points]
 
 
-def _grassmannian(name, k, n, profile, pad_zeros=False):
-    def blocks(p):
-        return profile(p.lam).value(1), profile(p.lam).value(n)
+def _equal(values, t, tol):
+    return all(abs(v - t) <= tol for v in values)
 
-    return Space(name, flags.grassmannian_shape(k, n), lambda p: profile(p.lam),
-                 lambda p: potential.grassmannian_critical_candidates(k, n, *blocks(p)),
-                 lambda p, T0: potential.grassmannian_critical_values(k, n, *blocks(p), T0),
-                 lambda q: qh.c1_eigenvalues_grassmannian(k, n, *q), pad_zeros)
 
+# ---------------------------------------------------------------------------
+# Gr(2,4): the orbit of diag(2 lam, 2 lam, 0, 0); Gr(2,5): of diag(lam, lam, 0, 0, 0)
+
+
+def _gr24_floer(p):
+    if p.pair:
+        return f"delta_pair_gr24({p.lam})", novikov.delta_pair_gr24(p.lam)
+    x = complex(float(p.x_re), float(p.x_im))
+    return f"m1b_gr24({p.lam}, {p.t}, x={x})", novikov.m1b_gr24(p.lam, p.t, x)
+
+
+def _level(u, b, tol):
+    """u = (t, ..., t) with t strictly between the outer block values."""
+    return _equal(u, u[0], tol) and b[-1] + tol < u[0] < b[0] - tol
+
+
+def _gr25_l1(u, b, tol):
+    """L1(s1, s2, t) over u = (s2, s1, t, t, t, t), lam > s1 > s2 > t > 0."""
+    s2, s1, t = u[:3]
+    return (_equal(u[2:], t, tol) and b[0] - tol > s1 > s2 + tol and s2 > t + tol
+            and t > b[1] + tol)
+
+
+def _gr25_l2(u, b, tol):
+    """L2(s1, s2, t) over u = (t, t, t, t, s1, s2), 0 < s1 < s2 < t < lam."""
+    t, s1, s2 = u[0], u[4], u[5]
+    return (_equal(u[:4], t, tol) and b[1] + tol < s1 < s2 - tol and s2 < t - tol
+            and t < b[0] - tol)
+
+
+_DISPLACEABLE = ("displaceable", "HF vanishes over Lambda")
 
 SPACES = {space.name: space for space in (
-    Space("Fl3", flags.fl3_shape(), lambda p: flags.fl3_profile(p.l1, p.l2),
-          _fl3_candidates, _fl3_critical_values, lambda q: qh.fl3_c1_eigenvalues(*q)),
-    _grassmannian("Gr24", 2, 4, flags.gr24_profile, pad_zeros=True),
-    _grassmannian("Gr25", 2, 5, flags.gr25_profile),
+    Space("Fl3", flags.FlagShape((1, 2), 3),
+          lambda p: (as_fraction(p.l1), 0, -as_fraction(p.l2)),
+          # the S^3 fiber over u = (0, 0, 0), the middle block value
+          strata=(Stratum(((2, 1),), lambda u, b, tol: _equal(u, b[1], tol), "S3", 3, True),),
+          floer=lambda p: (f"m1_fl3({p.l1}, {p.l2})", novikov.m1_fl3(p.l1, p.l2)),
+          candidates=_fl3_candidates, critical_values=_fl3_critical_values,
+          c1_eigenvalues=lambda q: qh.fl3_c1_eigenvalues(*q)),
+    Space("Gr24", flags.grassmannian_shape(2, 4), lambda p: (2 * as_fraction(p.lam), 0),
+          # the U(2) fiber L_t over u = (t, t, t, t), displaceable off the middle level
+          strata=(Stratum(((2, 1),), lambda u, b, tol: _level(u, b, tol)
+                          and abs(u[0] - (b[0] + b[-1]) / 2.0) <= tol, "U2", 4, True),
+                  Stratum(((2, 1),), _level, "U2", 4, True, ("displaceable",))),
+          floer=_gr24_floer, pad_zeros=True),
+    Space("Gr25", flags.grassmannian_shape(2, 5), lambda p: (as_fraction(p.lam), 0),
+          strata=(Stratum(((2, 1),), _gr25_l1, "U2xT2", 6, True, _DISPLACEABLE),
+                  Stratum(((3, 1),), _gr25_l2, "U2xT2", 6, True, _DISPLACEABLE),
+                  # over u = (t, ..., t): isotropic, not Lagrangian
+                  Stratum(((2, 1), (3, 1)), _level, "U2", 4, False)),
+          out_of_scope="vanishing follows from displaceability"),
 )}

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import floer, gc_core, potential, qh
+from . import flags, floer, gc_core, potential, qh
 from .novikov import (
     NovikovMatrix,
     NovikovSeries,
@@ -329,8 +329,8 @@ def check_geometry(fast=False):
     u = gc_core.gc_map(gc_core.fl3_s3_point(1, 1, [0.6, 0.8j]), fl3.shape, fl3.profile(UNIT))
     if np.max(np.abs(u.as_array())) > 1e-8:
         problems.append("fl3_s3_point misses u = (0,0,0)")
-    shape = gc_core.grassmannian_shape(2, 4)
-    profile = gc_core.gr2n_profile(2, 1)
+    shape = flags.grassmannian_shape(2, 4)
+    profile = flags.gr2n_profile(2, 1)
     A = np.array([[0.6, 0.8j], [0.8, -0.6j]])
     u = gc_core.gc_map(gc_core.gr2n_un_point(2, 1, 0.25, A), shape, profile)
     if np.max(np.abs(u.as_array() - 0.25)) > 1e-8:
@@ -524,7 +524,7 @@ def _monomial_oracle(rows, cols, entries, truncation=Fraction(10)):
 
 def rimhook_mismatches(k, n):
     """Where qh.c1_matrix of Gr(k, n) differs from n times the rim-hook oracle."""
-    mat = qh.c1_matrix(gc_core.grassmannian_shape(k, n))
+    mat = qh.c1_matrix(flags.grassmannian_shape(k, n))
     basis, classical, quantum = _rimhook_sigma1(k, n)
     if tuple(coset_partition(w, k) for w in mat.basis) != tuple(basis):
         return [f"Gr({k},{n}): basis ordering differs"]
@@ -573,8 +573,8 @@ def check_oracles(fast=False):
         "09-oracles",
         True,
         f"module_presentation matches the determinantal oracle on {n_cases} "
-        "random instances; quantum Pieri matches the rim-hook oracle for "
-        "Gr(2,4) and Gr(2,5)",
+        "random instances; the quantum Chevalley matrix qh.c1_matrix matches n times the "
+        "rim-hook Pieri oracle for Gr(2,4) and Gr(2,5)",
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from gcfloer import cli, gc_core
 from gcfloer.cli import main, rational
+from gcfloer.flags import EigenProfile, FlagShape
 from gcfloer.spaces import SPACES
 
 
@@ -32,7 +33,7 @@ def test_polytope_fl3_json_roundtrip(capsys):
     doc = json.loads(out)
     assert doc["facet_count"] == 6
     want = gc_core.polytope_to_json(
-        gc_core.build_polytope(gc_core.fl3_shape(), gc_core.fl3_profile(1, 1))
+        gc_core.build_polytope(FlagShape((1, 2), 3), EigenProfile((1, 0, -1)))
     )
     assert doc == {**want, "space": "Fl3", "facet_count": 6}
 
@@ -195,6 +196,17 @@ def test_floer_holonomy_modulus_overflow_is_invalid_input(capsys):
         assert code == 2
         assert out == ""
         assert "overflows" in err
+
+
+@pytest.mark.parametrize("command", [("match", "Gr25"), ("floer", "Fl3")])
+def test_json_only_subcommands_reject_format(capsys, command):
+    # match and floer print JSON only; --format csv was accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--format", "csv"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "--format" in out.err
 
 
 def test_floer_fl3(capsys):

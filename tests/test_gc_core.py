@@ -18,20 +18,16 @@ from gcfloer.gc_core import (
     contains,
     detect_diamonds,
     face_dimension,
-    fl3_profile,
     fl3_s3_point,
-    fl3_shape,
     gc_map,
-    gr24_profile,
     gr25_L1_frame,
     gr25_L1_point,
-    gr25_profile,
-    gr2n_profile,
     gr2n_un_point,
-    grassmannian_shape,
-    index_set,
 )
+from gcfloer.flags import EigenProfile, FlagShape, gr2n_profile, grassmannian_shape, index_set
 from gcfloer.spaces import SPACES, UNIT
+
+FL3 = FlagShape((1, 2), 3)
 
 
 def spaces():
@@ -39,14 +35,14 @@ def spaces():
 
 
 def test_index_sets():
-    assert index_set(fl3_shape(), fl3_profile(1, 1)) == ((1, 2), (2, 2), (1, 1))
-    assert index_set(grassmannian_shape(2, 4), gr24_profile(1)) == (
+    assert index_set(FL3, EigenProfile((1, 0, -1))) == ((1, 2), (2, 2), (1, 1))
+    assert index_set(grassmannian_shape(2, 4), EigenProfile((2, 2, 0, 0))) == (
         (2, 3),
         (1, 2),
         (2, 2),
         (1, 1),
     )
-    assert index_set(grassmannian_shape(2, 5), gr25_profile(1)) == (
+    assert index_set(grassmannian_shape(2, 5), EigenProfile((1, 1, 0, 0, 0))) == (
         (2, 4),
         (1, 3),
         (2, 3),
@@ -58,7 +54,7 @@ def test_index_sets():
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        gc_core.EigenProfile((Fraction(0), Fraction(1))).validate(
+        EigenProfile((Fraction(0), Fraction(1))).validate(
             grassmannian_shape(1, 2)
         )
 
@@ -163,7 +159,7 @@ def test_facets_match_exact_oracle(space, shape, profile):
 # every step set of ambient 3 and 4, and Gr(2,5); the oracle's cost grows
 # fast with the dimension (F(2,3;5) takes about 8 s a case)
 _ORACLE_SHAPES = [
-    gc_core.FlagShape(steps, n)
+    FlagShape(steps, n)
     for n in (3, 4)
     for r in range(1, n)
     for steps in itertools.combinations(range(1, n), r)
@@ -181,7 +177,7 @@ def _shapes_and_profiles(draw):
         )
     )
     blocks = sorted(values, reverse=True)
-    return shape, gc_core.EigenProfile.from_blocks(shape, blocks)
+    return shape, EigenProfile.from_blocks(shape, blocks)
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,7 +204,7 @@ def test_inequality_and_facet_counts():
 
 
 def test_contains_and_face_dimension():
-    shape, profile = fl3_shape(), fl3_profile(1, 1)
+    shape, profile = FL3, EigenProfile((1, 0, -1))
     polytope = build_polytope(shape, profile)
     interior = GCPoint((0.5, -0.5, 0.1), polytope.index)
     inside, active = contains(polytope, interior)
@@ -245,8 +241,8 @@ def test_contains_matches_per_inequality_loop():
     rng = np.random.default_rng(37)
     cases = [(shape, profile) for _, shape, profile in spaces()]
     for steps, blocks in (((1, 2, 3), (3, 2, 1, 0)), ((1, 3), (2, 1, 0))):
-        shape = gc_core.FlagShape(steps, 4)
-        cases.append((shape, gc_core.EigenProfile.from_blocks(shape, blocks)))
+        shape = FlagShape(steps, 4)
+        cases.append((shape, EigenProfile.from_blocks(shape, blocks)))
     tol = gc_core.GC_TOL
     seen = {"outside": 0, "on a face": 0, "interior": 0}
     for shape, profile in cases:
@@ -270,13 +266,13 @@ def test_contains_matches_per_inequality_loop():
 
 
 def test_detect_diamonds():
-    shape, profile = fl3_shape(), fl3_profile(1, 1)
+    shape, profile = FL3, EigenProfile((1, 0, -1))
     u = GCPoint((0.0, 0.0, 0.0), index_set(shape, profile))
     assert detect_diamonds(shape, profile, u) == [(2, 1)]
     u = GCPoint((0.5, -0.5, 0.0), index_set(shape, profile))
     assert detect_diamonds(shape, profile, u) == []
 
-    shape, profile = grassmannian_shape(2, 5), gr25_profile(1)
+    shape, profile = grassmannian_shape(2, 5), EigenProfile((1, 1, 0, 0, 0))
     idx = index_set(shape, profile)
     assert detect_diamonds(shape, profile, GCPoint((0.5, 0.7, 0.3, 0.3, 0.3, 0.3), idx)) == [(2, 1)]
     assert detect_diamonds(shape, profile, GCPoint((0.5, 0.5, 0.5, 0.5, 0.3, 0.2), idx)) == [(3, 1)]
@@ -290,7 +286,7 @@ def test_detect_diamonds():
 
 
 def test_gc_map_on_fiber_constructors():
-    shape, profile = fl3_shape(), fl3_profile(2, 1)
+    shape, profile = FL3, EigenProfile((2, 0, -1))
     u = gc_map(fl3_s3_point(2, 1, [0.6, 0.8]), shape, profile)
     assert np.abs(u.as_array()).max() < 1e-9
 
@@ -299,7 +295,7 @@ def test_gc_map_on_fiber_constructors():
     u = gc_map(gr2n_un_point(2, 1, -0.4, A), shape, profile)
     assert np.abs(u.as_array() + 0.4).max() < 1e-9
 
-    shape, profile = grassmannian_shape(2, 5), gr25_profile(1)
+    shape, profile = grassmannian_shape(2, 5), EigenProfile((1, 1, 0, 0, 0))
     u = gc_map(gr25_L1_point(1, 0.8, 0.6, 0.2, 0.3, -1.2), shape, profile)
     assert np.abs(u.as_array() - [0.6, 0.8, 0.2, 0.2, 0.2, 0.2]).max() < 1e-9
 
@@ -310,7 +306,7 @@ def test_gr25_L1_frame_is_isometric():
 
 
 def test_gc_map_rejects_off_orbit():
-    shape, profile = fl3_shape(), fl3_profile(1, 1)
+    shape, profile = FL3, EigenProfile((1, 0, -1))
     with pytest.raises(ValueError, match="orbit"):
         gc_map(np.diag([2.0, 0.0, -1.0]), shape, profile)
     with pytest.raises(ValueError, match="Hermitian"):
@@ -327,7 +323,7 @@ def test_gc_map_checks_the_matrix_once(monkeypatch):
     )
     monkeypatch.setattr(numerics, "check_hermitian", lambda m: pytest.fail("called"))
     x = gr25_L1_point(1, 0.8, 0.6, 0.2, 0.3, -1.2)
-    u = gc_map(x, grassmannian_shape(2, 5), gr25_profile(1))
+    u = gc_map(x, grassmannian_shape(2, 5), EigenProfile((1, 1, 0, 0, 0)))
     assert shapes == [(5, 5)]
     assert u.values == tuple(
         float(np.linalg.eigvalsh(x[:k, :k])[::-1][i - 1]) for i, k in u.index
@@ -338,9 +334,9 @@ def test_gc_map_checks_the_matrix_once(monkeypatch):
         assert _reference_hermitian_error(x[:k, :k]) is None
         assert defect[k - 1] <= numerics.HERMITIAN_TOL * scale[k - 1]
     with pytest.raises(ValueError, match="ambient dimension"):
-        gc_map(np.diag([1.0, 0.0]), fl3_shape(), fl3_profile(1, 1))
+        gc_map(np.diag([1.0, 0.0]), FL3, EigenProfile((1, 0, -1)))
     with pytest.raises(ValueError, match="square"):
-        gc_map(np.ones((3, 2)), fl3_shape(), fl3_profile(1, 1))
+        gc_map(np.ones((3, 2)), FL3, EigenProfile((1, 0, -1)))
 
 
 def _reference_hermitian_error(block):
@@ -404,12 +400,12 @@ def test_gc_map_rejects_a_non_hermitian_block_of_a_hermitian_matrix():
     assert want == [None, "matrix is not Hermitian (defect 1e-09)", None, None]
     assert _block_errors(x) == want
     with pytest.raises(ValueError, match=r"not Hermitian \(defect 1e-09\)"):
-        gc_map(x, grassmannian_shape(2, 4), gr24_profile(Fraction(10**6, 2)))
+        gc_map(x, grassmannian_shape(2, 4), EigenProfile((10**6, 10**6, 0, 0)))
 
 
 def test_gc_map_checks_the_orbit_before_the_profile():
-    shape = fl3_shape()
-    bad = gc_core.EigenProfile((1, 1, -1))  # does not drop at step 1
+    shape = FL3
+    bad = EigenProfile((1, 1, -1))  # does not drop at step 1
     for _ in range(2):  # the second call goes through the memo
         with pytest.raises(ValueError, match="not on the orbit"):
             gc_map(np.diag([2.0, 0.0, -1.0]), shape, bad)
@@ -429,7 +425,7 @@ def test_gc_map_rejects_non_finite_matrices(x):
     # a NaN defect compared False against the tolerance: the first matrix
     # mapped to a point and the second raised LinAlgError
     with pytest.raises(ValueError, match="non-finite"):
-        gc_map(x, fl3_shape(), fl3_profile(1, 1))
+        gc_map(x, FL3, EigenProfile((1, 0, -1)))
     with pytest.raises(ValueError, match="non-finite"):
         numerics.check_hermitian(x)
 
@@ -450,45 +446,52 @@ def test_constructor_input_validation():
 
 
 def test_classify_fiber_table():
-    polytope = build_polytope(fl3_shape(), fl3_profile(1, 1))
-    f = classify_fiber(polytope, GCPoint((0.5, -0.5, 0.1), polytope.index))
+    strata = SPACES["Fl3"].strata
+    polytope = build_polytope(FL3, EigenProfile((1, 0, -1)))
+    f = classify_fiber(polytope, GCPoint((0.5, -0.5, 0.1), polytope.index), strata)
     assert (f.kind, f.real_dimension, f.lagrangian) == ("torus", 3, True)
-    f = classify_fiber(polytope, GCPoint((0.0, 0.0, 0.0), polytope.index))
+    f = classify_fiber(polytope, GCPoint((0.0, 0.0, 0.0), polytope.index), strata)
     assert (f.kind, f.real_dimension, f.lagrangian) == ("S3", 3, True)
-    f = classify_fiber(polytope, GCPoint((1.0, 0.0, 1.0), polytope.index))
+    f = classify_fiber(polytope, GCPoint((1.0, 0.0, 1.0), polytope.index), strata)
     assert f.kind == "torus" and f.real_dimension == 0
     with pytest.raises(ValueError, match="polytope"):
-        classify_fiber(polytope, GCPoint((5.0, 0.0, 0.0), polytope.index))
+        classify_fiber(polytope, GCPoint((5.0, 0.0, 0.0), polytope.index), strata)
 
-    polytope = build_polytope(grassmannian_shape(2, 4), gr24_profile(1))
-    f = classify_fiber(polytope, GCPoint((1.0,) * 4, polytope.index))
+    strata = SPACES["Gr24"].strata
+    polytope = build_polytope(grassmannian_shape(2, 4), EigenProfile((2, 2, 0, 0)))
+    f = classify_fiber(polytope, GCPoint((1.0,) * 4, polytope.index), strata)
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2", 4, True)
     assert "displaceable" not in f.annotations  # the monotone level
-    f = classify_fiber(polytope, GCPoint((0.3,) * 4, polytope.index))
+    f = classify_fiber(polytope, GCPoint((0.3,) * 4, polytope.index), strata)
     assert f.kind == "U2" and "displaceable" in f.annotations
-    # a shape the stratum table does not name has no known non-torus strata
+    # without strata a non-torus fiber is unknown, and no space's rows name
+    # the diamonds of the U(3) fiber of Gr(3,6)
+    f = classify_fiber(polytope, GCPoint((1.0,) * 4, polytope.index))
+    assert f.kind == "unknown-nonsmooth"
     shape, profile = grassmannian_shape(3, 6), gr2n_profile(3, 1)
     u = gc_map(gr2n_un_point(3, 1, 0.3, np.eye(3)), shape, profile)
     assert detect_diamonds(shape, profile, u) == [(2, 1), (3, 1), (3, 2), (4, 2)]
-    f = classify_fiber(build_polytope(shape, profile), u)
+    every_row = tuple(row for space in SPACES.values() for row in space.strata)
+    f = classify_fiber(build_polytope(shape, profile), u, every_row)
     assert f.kind == "unknown-nonsmooth"
 
-    polytope = build_polytope(grassmannian_shape(2, 5), gr25_profile(1))
+    strata = SPACES["Gr25"].strata
+    polytope = build_polytope(grassmannian_shape(2, 5), EigenProfile((1, 1, 0, 0, 0)))
     idx = polytope.index
-    f = classify_fiber(polytope, GCPoint((0.5, 0.7, 0.3, 0.3, 0.3, 0.3), idx))
+    f = classify_fiber(polytope, GCPoint((0.5, 0.7, 0.3, 0.3, 0.3, 0.3), idx), strata)
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2xT2", 6, True)
     assert "displaceable" in f.annotations
-    f = classify_fiber(polytope, GCPoint((0.5, 0.5, 0.5, 0.5, 0.2, 0.3), idx))
+    f = classify_fiber(polytope, GCPoint((0.5, 0.5, 0.5, 0.5, 0.2, 0.3), idx), strata)
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2xT2", 6, True)
-    f = classify_fiber(polytope, GCPoint((0.4,) * 6, idx))
+    f = classify_fiber(polytope, GCPoint((0.4,) * 6, idx), strata)
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2", 4, False)
 
 
 def test_classify_fiber_unknown_stratum():
-    # a boundary degeneracy outside the hard-coded table
-    polytope = build_polytope(grassmannian_shape(2, 5), gr25_profile(1))
+    # a boundary degeneracy outside the Gr25 rows
+    polytope = build_polytope(grassmannian_shape(2, 5), EigenProfile((1, 1, 0, 0, 0)))
     u = GCPoint((0.0, 0.3, 0.0, 0.0, 0.0, 0.0), polytope.index)
-    f = classify_fiber(polytope, u)
+    f = classify_fiber(polytope, u, SPACES["Gr25"].strata)
     assert f.kind == "unknown-nonsmooth"
     assert f.real_dimension == -1
 
@@ -501,7 +504,7 @@ def test_classify_fiber_unknown_stratum():
 @given(seed=st.integers(0, 10_000))
 def test_random_orbit_points_map_into_polytope(seed):
     rng = np.random.default_rng(seed)
-    shape, profile = grassmannian_shape(2, 4), gr24_profile(1)
+    shape, profile = grassmannian_shape(2, 4), EigenProfile((2, 2, 0, 0))
     polytope = build_polytope(shape, profile)
     vals = np.array([float(v) for v in profile.values])
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

@@ -33,6 +33,21 @@ def test_series_normalization_and_valuation():
     assert NovikovSeries.zero().valuation() == math.inf
 
 
+@pytest.mark.parametrize("coeff", [
+    1.5e308 + 1.5e308j,  # finite parts, modulus overflows: abs raised OverflowError
+    complex(math.inf, 0.0),  # was kept as a coefficient
+    complex(math.nan, 0.0),  # was pruned as zero
+])
+def test_series_rejects_a_coefficient_without_finite_modulus(coeff):
+    with pytest.raises(ValueError, match="no finite modulus"):
+        NovikovSeries(((0, coeff),))
+
+
+def test_series_rejects_a_merged_coefficient_that_overflows():
+    with pytest.raises(ValueError, match="no finite modulus"):
+        NovikovSeries(((1, 1e308), (1, 1e308)))
+
+
 def test_truncation_drops_high_terms():
     s = NovikovSeries(((11, 1.0), (3, 1.0)), truncation=10)
     assert s.terms == ((Fraction(3), 1.0 + 0j),)

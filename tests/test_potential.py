@@ -9,16 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcfloer import potential
-from gcfloer.gc_core import (
-    EigenProfile,
-    FlagShape,
-    build_polytope,
-    fl3_profile,
-    fl3_shape,
-    gr24_profile,
-    gr25_profile,
-    grassmannian_shape,
-)
+from gcfloer.flags import EigenProfile, FlagShape, grassmannian_shape
+from gcfloer.gc_core import build_polytope
 from gcfloer.potential import (
     SolverConfig,
     build_potential,
@@ -34,17 +26,19 @@ from gcfloer.potential import (
 )
 from gcfloer.spaces import SPACES, UNIT
 
+FL3 = FlagShape((1, 2), 3)
+
 
 def fl3_potential():
-    return build_potential(fl3_shape(), fl3_profile(1, 1))
+    return build_potential(FL3, EigenProfile((1, 0, -1)))
 
 
 def gr24_potential():
-    return build_potential(grassmannian_shape(2, 4), gr24_profile(1))
+    return build_potential(grassmannian_shape(2, 4), EigenProfile((2, 2, 0, 0)))
 
 
 def gr25_potential():
-    return build_potential(grassmannian_shape(2, 5), gr25_profile(1))
+    return build_potential(grassmannian_shape(2, 5), EigenProfile((1, 1, 0, 0, 0)))
 
 
 def test_term_counts_and_facet_rule():
@@ -431,7 +425,7 @@ def test_solver_recovers_closed_forms():
 
 
 def test_fl3_critical_points_are_critical_for_generic_profile():
-    po = build_potential(fl3_shape(), fl3_profile(2, 1))
+    po = build_potential(FL3, EigenProfile((2, 0, -1)))
     T0 = 0.55
     for y in fl3_critical_points(2, 1, T0):
         assert np.abs(gradient_at(po, y, T0)).max() < 1e-12
@@ -441,7 +435,7 @@ def test_verify_candidate_report():
     po = gr24_potential()
     cand = SPACES["Gr24"].candidates(UNIT)[0]
     rep = verify_candidate(po, cand, polytope=build_polytope(
-        grassmannian_shape(2, 4), gr24_profile(1)
+        grassmannian_shape(2, 4), EigenProfile((2, 2, 0, 0))
     ))
     assert rep["max_residual"] < 1e-12
     assert rep["valuations"] == (Fraction(1), Fraction(3, 2), Fraction(1, 2), Fraction(1))

@@ -4,16 +4,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gcfloer import gc_core, potential
+from gcfloer import potential
+from gcfloer.flags import EigenProfile, FlagShape, grassmannian_shape
 from gcfloer.numerics import complex_eigenvalues
 from gcfloer.qh import c1_eigenvalues_grassmannian, c1_matrix, multiset_match
 from gcfloer.spaces import SPACES, UNIT
 from gcfloer.verify import coset_partition, partitions_in_box, rimhook_mismatches
 
+FL3 = FlagShape((1, 2), 3)
+
 
 def sigma1_columns(k, n):
     """c1 / n on Gr(k, n), with rows and columns looked up by partition."""
-    mat = c1_matrix(gc_core.grassmannian_shape(k, n))
+    mat = c1_matrix(grassmannian_shape(k, n))
     pos = {coset_partition(w, k): i for i, w in enumerate(mat.basis)}
     classical, quantum = mat.coeffs[(0,)], mat.coeffs[(1,)]
     assert not (classical % n).any() and not (quantum % n).any()
@@ -57,16 +60,16 @@ def test_sigma1_matrix_gr25_quantum_column():
 
 def test_sigma1_matrix_bounds():
     with pytest.raises(ValueError):
-        c1_matrix(gc_core.FlagShape((0,), 4))
+        c1_matrix(FlagShape((0,), 4))
     with pytest.raises(ValueError):
-        c1_matrix(gc_core.FlagShape((4,), 4))
+        c1_matrix(FlagShape((4,), 4))
     # no cap on n: Gr(3,7) has the C(7,3) = 35 Schubert classes
-    assert c1_matrix(gc_core.grassmannian_shape(3, 7)).dim == 35
+    assert c1_matrix(grassmannian_shape(3, 7)).dim == 35
 
 
 def test_classical_limit_is_nilpotent():
     for k, n in ((2, 4), (2, 5), (1, 3)):
-        m = c1_matrix(gc_core.grassmannian_shape(k, n)).at(0.0)
+        m = c1_matrix(grassmannian_shape(k, n)).at(0.0)
         assert np.abs(np.linalg.matrix_power(m, m.shape[0])).max() < 1e-12
 
 
@@ -81,7 +84,7 @@ def test_c1_eigenvalues_gr24_structure():
 
 
 def test_fl3_c1_matrix_structure():
-    mat = c1_matrix(gc_core.fl3_shape())
+    mat = c1_matrix(FL3)
     # c1 . sigma_id = 2 sigma_{s1} + 2 sigma_{s2}
     pos = {w: i for i, w in enumerate(mat.basis)}
     col = pos[(1, 2, 3)]
@@ -123,7 +126,7 @@ def test_fl3_c1_matrix_reference():
                  [0, 0, 0, 0, 0, 0],
                  [0, 0, 0, 0, 0, 0]],
     }
-    mat = c1_matrix(gc_core.fl3_shape())
+    mat = c1_matrix(FL3)
     assert mat.basis == basis
     assert set(mat.coeffs) == set(want)
     for degree, rows in want.items():
@@ -136,8 +139,8 @@ def test_fl3_c1_matrix_reference():
     ((1, 3), (2, 1, 0), 9, 12),  # F(1,3;4): 3 zero eigenvalues, no critical point
 ])
 def test_c1_eigenvalues_match_critical_values_beyond_the_registry(steps, blocks, n_values, dim):
-    shape = gc_core.FlagShape(steps, 4)
-    profile = gc_core.EigenProfile.from_blocks(shape, blocks)
+    shape = FlagShape(steps, 4)
+    profile = EigenProfile.from_blocks(shape, blocks)
     T0 = 0.5
     po = potential.build_potential(shape, profile)
     points = potential.find_critical_points(po, potential.SolverConfig(T0=T0, starts=600))
@@ -166,10 +169,10 @@ def test_fl3_quantum_parameters():
     # q_j = T^(lambda_{n_j} - lambda_{n_j + 1}) reproduces the matched
     # parameters: Fl3 (T^l1, T^l2), Gr24 T^(2 lam), Gr25 T^lam
     fl3, gr24, gr25 = SPACES["Fl3"], SPACES["Gr24"], SPACES["Gr25"]
-    assert fl3.quantum_parameters(gc_core.fl3_profile(1, 2), 0.5) == (0.5, 0.25)
+    assert fl3.quantum_parameters(EigenProfile((1, 0, -2)), 0.5) == (0.5, 0.25)
     lam = Fraction(3, 2)
-    assert gr24.quantum_parameters(gc_core.gr24_profile(lam), 0.5) == (0.5**3.0,)
-    assert gr25.quantum_parameters(gc_core.gr25_profile(lam), 0.5) == (0.5**1.5,)
+    assert gr24.quantum_parameters(EigenProfile((2 * lam, 2 * lam, 0, 0)), 0.5) == (0.5**3.0,)
+    assert gr25.quantum_parameters(EigenProfile((lam, lam, 0, 0, 0)), 0.5) == (0.5**1.5,)
 
 
 def test_multiset_match():

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -47,3 +49,19 @@ def test_perfbench_cli_child_traces_a_floer_call(tmp_path):
     assert json.loads(proc.stdout)["decomposition"] == {"free_rank": 0, "torsion": [[3, 10]]}
     spans = json.loads(out.read_text())["spans"]
     assert [(s[0], s[4]) for s in spans] == [("novikov.module_presentation", "cli.floer")]
+
+
+def test_every_tracer_target_resolves():
+    # perfbench/tracer.py looks each target up by its dotted path when it
+    # installs, so deleting or renaming a traced name (the qh c1 wrappers,
+    # NovikovSeries.invert, integrate_periodic, hermitian_eigenvalues, ...)
+    # would break every --trace 1 run; this catches it first
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module_name, path, *_ in tracer.TARGETS:
+        target = importlib.import_module(module_name)
+        for part in path.split("."):
+            target = getattr(target, part, None)
+        assert callable(target), f"{module_name}.{path}"
