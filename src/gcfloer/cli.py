@@ -3,7 +3,9 @@
 Subcommands: polytope, potential, critical, qh, match, floer, verify-all.
 All numeric flags accept exact rationals as "p/q" strings; decimal-float
 literals are converted to exact rationals with a warning on stderr.
-Output is JSON (default) or CSV and is byte-stable for fixed flags/seed.
+Output is JSON (default) or CSV and is byte-stable for fixed flags/seed;
+the stdout of `critical`, its seed field aside, is the same for every
+seed that finds every critical point.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numeric non-convergence.

@@ -12,6 +12,8 @@ Hessian of the potential.
 import functools
 import itertools
 import math
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,12 +22,14 @@ import numpy as np
 from .flags import EigenProfile, grassmannian_shape, index_set
 from .gc_core import build_polytope, contains
 from .novikov import as_fraction
-from .numerics import NonConvergenceError, uniform_streams
+from .numerics import NonConvergenceError
 
 NEWTON_TOL = 1e-10  # a Newton start has converged once max |grad| < NEWTON_TOL
 MAX_ITERS = 100  # Newton iterations a start gets before it is dropped
 DEDUPE_TOL = 1e-6  # relative distance below which two limit points are one
 DEGENERATE_DET = 1e-10  # a Hessian is degenerate if its row-normalized |det| <= this
+POLISH_STEPS = 6  # plain Newton steps of each polish of a deduped limit point
+GRID = 2.0**-26  # spacing of the grid in w that polished limit points are rounded to
 VERIFY_T0 = (0.45, 0.55)  # base values at which verify_candidate checks and fits
 
 
@@ -126,29 +130,20 @@ def _grad_hess_at_w(E, c, w):
     """Gradient and logarithmic Hessian at w (y = exp(w)) of sum_t c_t e^(E_t . w);
     w may be a batch of shape (..., nvars).
 
-    The Hessian is einsum("...t,tj,tl->...jl", vals, E, E), bit for bit.  For
-    a batch of two or more rows of finite values it is computed as two real
-    matrix products, of the real and imaginary parts of vals with E (x) E
-    flattened to (terms, nvars^2).  Each term vals_t E_tj E_tl is exact,
-    since E's entries are 0 and +-1, so only the order of the additions
-    could differ; the matrix product adds the terms in order, as the
-    einsum does.  A 1-D w or a one-row batch would go to a matrix-vector
-    product, which adds them in another order, and the einsum's complex
-    products turn an infinite value into NaN in both parts; those cases,
-    and batches of other shapes, run the einsum itself.
+    The Hessian sum_t vals_t E_tj E_tl is two real matrix products, of the
+    real and imaginary parts of vals with E (x) E flattened to
+    (terms, nvars^2), written into views of one complex array.  Each term
+    is exact, since E's entries are 0 and +-1.  A non-finite value makes
+    every entry of its Hessian non-finite.
     """
     vals = c * np.exp(_exponents(w, E))  # (..., terms)
-    # a stack of vector-matrix products: a plain vals @ E on a 2-D batch is
-    # one gemm, whose rounding differs from the per-start product
-    grad = np.matmul(vals[..., None, :], E)[..., 0, :]  # (..., nvars)
-    if w.ndim != 2 or len(w) < 2 or not np.isfinite(vals).all():
-        return grad, np.einsum("...t,tj,tl->...jl", vals, E, E)
     terms, n = E.shape
     EE = (E[:, :, None] * E[:, None, :]).reshape(terms, n * n)
-    hess = np.empty((len(w), n, n), dtype=complex)
-    np.matmul(vals.real, EE, out=hess.real.reshape(len(w), n * n))
-    np.matmul(vals.imag, EE, out=hess.imag.reshape(len(w), n * n))
-    return grad, hess
+    hess = np.empty(vals.shape[:-1] + (n, n), dtype=complex)
+    flat = vals.shape[:-1] + (n * n,)
+    np.matmul(vals.real, EE, out=hess.real.reshape(flat))
+    np.matmul(vals.imag, EE, out=hess.imag.reshape(flat))
+    return vals @ E, hess
 
 
 def _grad_hess_at_y(po, y, T0):
@@ -175,6 +170,8 @@ class SolverConfig:
             raise ValueError("T0 must lie in (0, 1)")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
+        if operator.index(self.seed) < 0:
+            raise ValueError(f"seed {self.seed}: expected non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -235,10 +232,7 @@ def _normalized_det(hess):
     row_norms = np.max(np.abs(hess), axis=-1)
     zero_row = np.any(row_norms == 0, axis=-1)
     scaled = hess / np.where(row_norms == 0, 1.0, row_norms)[..., None]
-    det = np.linalg.det(scaled)
-    # hypot rounds as abs() of one complex scalar does; the array np.abs of
-    # a complex array can differ from it in the last bit
-    det = np.hypot(det.real, det.imag)
+    det = np.abs(np.linalg.det(scaled))
     return det, zero_row | (det <= DEGENERATE_DET)
 
 
@@ -277,13 +271,7 @@ def _newton(E, c, w):
             active, x, grad, hess = active[~done], x[~done], grad[~done], hess[~done]
         step, singular = _solve_steps(hess, grad)
         del grad, hess  # not held while the next iteration builds its own
-        # the 1-D path of np.linalg.norm, so each start's norm is the one
-        # its own step would get
-        re, im = step.real, step.imag
-        norm = np.sqrt(
-            np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
-            + np.matmul(im[:, None, :], im[:, :, None])[:, 0, 0]
-        )
+        norm = np.linalg.norm(step, axis=1)
         moving = ~singular & np.isfinite(norm)
         long = moving & (norm > 20.0)
         if long.any():
@@ -294,16 +282,28 @@ def _newton(E, c, w):
     return w[converged]
 
 
+def _polish(E, c, w):
+    """w after POLISH_STEPS plain Newton steps from each row; two steps take
+    a limit point of _newton to rounding level."""
+    for _ in range(POLISH_STEPS):
+        grad, hess = _grad_hess_at_w(E, c, w)
+        w = w + np.linalg.solve(hess, -grad[..., None])[..., 0]
+    return w
+
+
 def _start_points(n, config):
     """The (starts, n) Newton starts w: log-moduli uniform in [3 log T0,
-    -3 log T0], arguments uniform in [-pi, pi].  Start s takes the 2n
-    doubles u of default_rng([seed, s]).random(2n); the first half scales
-    to the log-moduli and the second half to the arguments, all starts at
-    once, as low + (high - low) u: the values that
-    rng.uniform(3 log T0, -3 log T0, n) and then rng.uniform(-pi, pi, n)
-    would give."""
+    -3 log T0], arguments uniform in [-pi, pi].  The starts take 2n doubles
+    u each, in turn, from one random.Random(seed) stream; the first half
+    scales to the log-moduli and the second half to the arguments, as
+    low + (high - low) u.
+
+    The draws decide which critical points are found, not their digits
+    (see find_critical_points), except for a point within about 1e-15 of
+    the edge of a grid cell: it can round either way."""
+    rng = random.Random(config.seed)
+    u = np.array([rng.random() for _ in range(config.starts * 2 * n)]).reshape(-1, 2 * n)
     lo = 3.0 * math.log(config.T0)
-    u = uniform_streams(config.seed, config.starts, 2 * n)
     w = np.empty((config.starts, n), dtype=complex)
     w.real = lo + (-lo - lo) * u[:, :n]
     w.imag = -np.pi + (np.pi - -np.pi) * u[:, n:]
@@ -313,11 +313,15 @@ def _start_points(n, config):
 def find_critical_points(po, config=SolverConfig()):
     """Deduplicated Newton limit points of the log-gradient system.
 
-    Starts are drawn by _start_points, in log-coordinates with per-start
-    seeds; the returned list is sorted by a canonical key and is
-    deterministic given (seed, starts).  All starts are iterated together
-    as one (starts, nvars) array; each keeps the result it would have on
-    its own.  Raises NonConvergenceError when no start converges.
+    Starts are drawn by _start_points, in log-coordinates, and iterated
+    together as one (starts, nvars) array.  Each limit point that the dedupe
+    keeps is polished, its canonical w rounded to the grid GRID, and
+    polished again from there; the points are sorted by their grid points.
+    A grid cell is far inside the Newton basin of a simple critical point,
+    so the result is a function of the set of grid points: every seed that
+    finds every critical point returns the same list.  The exception is a
+    point within about 1e-15 of the edge of a grid cell, which can round
+    either way.  Raises NonConvergenceError when no start converges.
     """
     E, c = po.exponent_matrix(), po.coeff_vector(config.T0)
     w = _newton(E, c, _start_points(po.nvars, config))
@@ -329,19 +333,18 @@ def find_critical_points(po, config=SolverConfig()):
 
     _, degenerate = _normalized_det(_grad_hess_at_w(E, c, w)[1])
     w = _canonical_w(w[~degenerate])
+    w = _canonical_w(_polish(E, c, w[_representatives(w)]))
+    w = np.round(w / GRID) * GRID + 0.0  # + 0.0: one grid point for 0.0 and -0.0
+    # lexsort's primary key is its last row
+    keys = np.stack([w.real, w.imag], axis=-1).reshape(len(w), -1)
+    w = _polish(E, c, w[np.lexsort(keys.T[::-1])])
 
-    # order-independent dedupe: sort by canonical key (lexsort's primary
-    # key is its last row), then cluster
-    keys = np.round(np.stack([w.real, w.imag], axis=-1).reshape(len(w), -1), 8)
-    w = w[np.lexsort(keys.T[::-1])]
-    reps = w[_representatives(w)]
-
-    grad, hess = _grad_hess_at_w(E, c, reps)
+    grad, hess = _grad_hess_at_w(E, c, w)
     det, _ = _normalized_det(hess)
     residual = np.max(np.abs(grad), axis=1)
     return [
         CriticalCandidate(y=tuple(y), residual=float(r), hessian_det=float(d))
-        for y, r, d in zip(np.exp(reps), residual, det)
+        for y, r, d in zip(np.exp(w), residual, det)
     ]
 
 

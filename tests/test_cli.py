@@ -8,6 +8,7 @@ import pytest
 from gcfloer import cli, gc_core
 from gcfloer.cli import main, rational
 from gcfloer.flags import EigenProfile, FlagShape
+from gcfloer.potential import fl3_critical_points
 from gcfloer.spaces import SPACES
 
 
@@ -93,10 +94,44 @@ def test_critical_deterministic_and_verified(capsys):
 
 
 def test_critical_without_converged_start_exits_3(capsys):
-    code, out, err = run(capsys, "critical", "Fl3", "--starts", "1", "--seed", "11")
+    code, out, err = run(capsys, "critical", "Fl3", "--starts", "1", "--seed", "10")
     assert code == 3
     assert out == ""
     assert "no Newton start converged" in err
+
+
+def test_critical_negative_seed_exits_2(capsys):
+    code, out, err = run(capsys, "critical", "Fl3", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "expected non-negative integer" in err
+
+
+_SEED_FREE = {
+    "Fl3": (6, "--l1", "1", "--l2", "1", "--starts", "400"),
+    "Gr24": (4, "--lam", "1", "--starts", "400"),
+    "Gr25": (10, "--lam", "1", "--starts", "900"),
+}
+
+
+@pytest.mark.parametrize("space", sorted(_SEED_FREE))
+def test_critical_output_does_not_depend_on_the_seed(capsys, space):
+    # each point is polished from a grid point, so every seed that finds
+    # every point prints the same bytes
+    count, *flags = _SEED_FREE[space]
+    outs = set()
+    for seed in range(10):
+        code, out, _ = run(capsys, "critical", space, *flags, "--seed", str(seed))
+        assert code == 0
+        outs.add(out.replace(f'"seed": {seed},', ""))
+    assert len(outs) == 1
+    points = json.loads(outs.pop())["critical_points"]
+    assert len(points) == count
+    assert all(p["residual"] < 1e-13 for p in points)
+    if space == "Fl3":
+        got = np.array([[complex(z["re"], z["im"]) for z in p["y"]] for p in points])
+        near = np.abs(got[:, None] - np.array(fl3_critical_points(1, 1, 0.5))).max(axis=2) < 1e-12
+        assert (near.sum(axis=0) == 1).all() and (near.sum(axis=1) == 1).all()
 
 
 def test_critical_zero_starts_exits_2(capsys):

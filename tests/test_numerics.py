@@ -262,18 +262,3 @@ def test_quadrature_rule_is_leggauss_16():
     assert numerics._WEIGHTS.tobytes() == weights.tobytes()
     assert not numerics._NODES.flags.writeable
     assert not numerics._WEIGHTS.flags.writeable
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 17, 2**130 + 9])
-def test_uniform_streams_equal_default_rng(seed):
-    # seeds of one to five 32-bit words: five overflow SeedSequence's pool
-    for count, k in ((1, 1), (2, 6), (700, 18)):
-        want = np.array([np.random.default_rng([seed, i]).random(k) for i in range(count)])
-        assert numerics.uniform_streams(seed, count, k).tobytes() == want.tobytes()
-
-
-def test_uniform_streams_reject_what_default_rng_rejects():
-    with pytest.raises(ValueError, match="expected non-negative integer"):
-        numerics.uniform_streams(-1, 3, 2)
-    with pytest.raises(TypeError):
-        numerics.uniform_streams(1.5, 3, 2)
