@@ -6,16 +6,19 @@ Gr(n,2n) admit explicit rational parametrizations; their areas are checked
 by pulling back the (weighted) Fubini-Study forms to the unit disk through
 the Cayley transform.  The Floer differentials are built from their closed
 forms in novikov, which needs no numpy; the disk-count integrals here
-cross-validate their coefficients.
+cross-validate their coefficients.  Each disk-count integral is x^(k+l)
+times an exact number c(k, l), which an integration-by-parts recurrence
+gives in decimal arithmetic of 100 digits or more; the table of c is built
+on first use and cached, and no quadrature is involved.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .novikov import m1_fl3, m1b_gr24  # noqa: F401  (callers import them from floer)
-from .numerics import integrate_periodic
 
 WINDING_SAMPLES = 4000  # points of R + {inf} on which a disk's winding is counted
 PROJECTIVE_TOL = 1e-9  # relative distance below which two projective points agree
@@ -331,23 +334,84 @@ def projective_equal(p, q):
 # disk-count integrals
 
 
+def _machin_pi(digits):
+    """pi * 10^digits as an integer, within 1 of the truth, from Machin's
+    formula pi = 16 arctan(1/5) - 4 arctan(1/239) in integer arithmetic."""
+    unit = 10 ** (digits + 10)  # ten guard digits absorb the truncations
+
+    def arctan_inverse(n):  # unit * arctan(1/n), by its Taylor series
+        total, power, odd, sign = 0, unit // n, 1, 1
+        while power:
+            total += sign * (power // odd)
+            power, odd, sign = power // (n * n), odd + 2, -sign
+        return total
+
+    return (16 * arctan_inverse(5) - 4 * arctan_inverse(239)) // 10**10
+
+
+def _disk_table(K):
+    """Rows m = 0..K of c(k, m - k), k = 0..m, as floats, where
+    c(k, l) = (1/(k! l!)) int_0^1 s^k (1 - s)^l (1 - cos 2 pi s) ds.
+
+    With J(k, l) = (1/(k! l!)) int_0^1 s^k (1 - s)^l e^{2 pi i s} ds,
+    c(k, l) = 1/(k + l + 1)! - Re J(k, l), and integration by parts gives
+    J(k, l) = a (d(l) / k! - d(k) / l!) - a (J(k-1, l) - J(k, l-1)) with
+    a = 1/(2 pi i), d(n) = 1 if n = 0 else 0, J(0, 0) = 0 and J = 0 at a
+    negative index.  The recurrence cancels fewer than log10((K+1)!)
+    digits (about 29 at K = 40, 140 at K = 120), so it runs in decimal
+    arithmetic with 40 digits more than that, and at least 100; each entry
+    is rounded to float once, at the end.
+    """
+    import decimal
+
+    digits = max(100, 40 + len(str(math.factorial(K + 1))))
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        one = decimal.Decimal(1)
+        b = one / (2 * decimal.Decimal(_machin_pi(digits)).scaleb(-digits))  # a = -i b
+        inv_fact = [one / math.factorial(n) for n in range(K + 2)]
+        rows, prev = [], []
+        for m in range(K + 1):
+            cur = []  # (Re, Im) of J(k, m - k), k = 0..m
+            for k in range(m + 1):
+                l = m - k
+                # e = d(l)/k! - d(k)/l! - J(k-1, l) + J(k, l-1); J(k, l) = -i b e
+                re = (inv_fact[k] if l == 0 else 0) - (inv_fact[l] if k == 0 else 0)
+                im = 0
+                if k:
+                    re, im = re - prev[k - 1][0], im - prev[k - 1][1]
+                if l:
+                    re, im = re + prev[k][0], im + prev[k][1]
+                cur.append((b * im, -b * re))
+            rows.append(tuple(float(inv_fact[m + 1] - re) for re, _ in cur))
+            prev = cur
+    return rows
+
+
+_DISK_TABLE = []  # the rows of _disk_table, built on first use
+
+
+def _disk_coefficient(k, l):
+    """c(k, l) from the cached table, which is built (at least to K = 40)
+    or grown (at least twofold) when k + l lies beyond it."""
+    if k < 0 or l < 0:
+        raise ValueError("k, l must be non-negative")
+    m = k + l
+    if m >= len(_DISK_TABLE):
+        _DISK_TABLE[:] = _disk_table(max(m, 40, 2 * len(_DISK_TABLE)))
+    return _DISK_TABLE[m][k]
+
+
 def open_gw_integral(k, l, x):
     """The (k, l) disk-count integral
     int_0^{2pi} (1/k!) ((theta/2pi) x)^k (1/l!) ((1 - theta/2pi) x)^l
-    (1 - cos theta) dtheta / 2pi."""
-    if k < 0 or l < 0:
-        raise ValueError("k, l must be non-negative")
+    (1 - cos theta) dtheta / 2pi = x^(k+l) c(k, l), with c(k, l) read from
+    the exact table of _disk_table.  A non-finite x raises ValueError, and
+    an x^(k+l) beyond the float range raises OverflowError."""
     x = complex(x)
-    kf = math.factorial(k)
-    lf = math.factorial(l)
-
-    def f(theta):
-        s = theta / (2.0 * np.pi)
-        return (
-            (s * x) ** k / kf * ((1.0 - s) * x) ** l / lf * (1.0 - np.cos(theta))
-        )
-
-    return integrate_periodic(f)
+    if not cmath.isfinite(x):
+        raise ValueError(f"holonomy x must be finite, got {x}")
+    return x ** (k + l) * _disk_coefficient(k, l)
 
 
 def open_gw_series(x, K=40):
@@ -364,20 +428,10 @@ def open_gw_series(x, K=40):
 def pair_integral(k, l):
     """The (k, l) integral of the (b, -b) pair differential at b = i pi/2:
     int (1/k!) (i theta/4)^k (1/l!) (i (theta/4 - pi/2))^l
-    (1 - cos theta) dtheta / 2pi."""
-    kf = math.factorial(k)
-    lf = math.factorial(l)
-
-    def f(theta):
-        return (
-            (0.25j * theta) ** k
-            / kf
-            * (1j * (theta / 4.0 - np.pi / 2.0)) ** l
-            / lf
-            * (1.0 - np.cos(theta))
-        )
-
-    return integrate_periodic(f)
+    (1 - cos theta) dtheta / 2pi = (i pi/2)^(k+l) (-1)^l c(k, l)."""
+    c = _disk_coefficient(k, l)
+    n = k + l
+    return (1, 1j, -1, -1j)[n % 4] * (-1) ** l * (math.pi / 2.0) ** n * c
 
 
 def pair_series(K=40):

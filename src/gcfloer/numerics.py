@@ -5,11 +5,12 @@ within HERMITIAN_TOL) and hand the work to LAPACK through numpy.linalg;
 what they add is a deterministic output order that callers and printed
 output rely on.  integrate_periodic is adaptive composite Gauss-Legendre
 for integrals of smooth periodic functions over [0, 2*pi]; its integrand
-receives an array of nodes and returns the values at all of them.
+receives an array of nodes and returns the values at all of them.  The
+package itself no longer calls it (floer's disk-count integrals are exact);
+the tests use it as an independent oracle for them.
 """
 
 import cmath
-import functools
 
 import numpy as np
 
@@ -133,45 +134,6 @@ def _grid(panels):
     return half, theta
 
 
-_TWO_PI = 2.0 * np.pi
-# the half-widths h of 1 and 2 panels as complex numbers h + 0i: np.sum(half *
-# dots) multiplies in complex arithmetic, and so must _first_estimates
-_HALF_1, _HALF_2 = ([complex(h) for h in _grid(p)[0].tolist()] for p in (1, 2))
-
-
-@functools.cache
-def _first_nodes():
-    """The nodes of the 1-panel grid above those of the 2-panel grid, as one
-    read-only (3, 16) array."""
-    theta = np.concatenate((_grid(1)[1], _grid(2)[1]))
-    theta.flags.writeable = False
-    return theta
-
-
-def _panel_dots(vals):
-    # a dot product per panel: one gemv over all panels rounds differently
-    return np.matmul(vals[:, None, :], _WEIGHTS)[:, 0]
-
-
-def _estimate(half, vals):
-    return np.sum(half * _panel_dots(vals)) / _TWO_PI
-
-
-def _first_estimates(vals):
-    """The 1-panel and 2-panel estimates from the (3, 16) values of the first
-    call, bit for bit those of _estimate on rows 0 and 1-2.
-
-    np.sum on one or two terms starts from +0 and adds them in order, and
-    Python's complex product and sum round as numpy's do; the division
-    stays numpy's.  This saves two np.sum calls per integral.
-    """
-    d0, d1, d2 = _panel_dots(vals).tolist()
-    (h0,), (h1, h2) = _HALF_1, _HALF_2
-    one = 0j + h0 * d0
-    two = 0j + (h1 * d1 + h2 * d2)
-    return np.complex128(one) / _TWO_PI, np.complex128(two) / _TWO_PI
-
-
 def integrate_periodic(f, tol=1e-12, max_doublings=20):
     """Mean value (1/2pi) * integral of f over [0, 2*pi].
 
@@ -182,44 +144,33 @@ def integrate_periodic(f, tol=1e-12, max_doublings=20):
     a non-finite node value always gives one (the weights and half-widths
     are positive), and more panels cannot make it finite.
 
-    f receives read-only arrays of nodes (writing into one raises
-    ValueError) and must return an array of the same shape, or one that
-    broadcasts to it (a constant); any other shape raises ValueError.  Its
-    first call gets a (3, 16) array: row 0 holds the nodes of 1 panel and
-    rows 1-2 those of 2 panels, so an integral that converges at 2 panels
-    costs one call.  Each later call gets the (panels, 16) nodes of one
-    estimate, from 4 panels on.  f must therefore compute each value from
-    its own node alone.
+    f receives the read-only (panels, 16) array of nodes of one estimate
+    (writing into it raises ValueError) and must return an array of the
+    same shape, or one that broadcasts to it (a constant); any other shape
+    raises ValueError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    def values(theta):
+    def estimate(panels):
+        half, theta = _grid(panels)
         vals = np.asarray(f(theta), dtype=complex)
         if vals.shape != theta.shape:
             vals = np.broadcast_to(vals, theta.shape)
-        return vals
-
-    def finite(estimate, panels):
-        if not cmath.isfinite(estimate):
+        est = np.sum(half * (vals @ _WEIGHTS)) / (2.0 * np.pi)
+        if not cmath.isfinite(est):
             raise NonConvergenceError(
                 f"integrate_periodic: non-finite estimate (panels={panels})",
-                last_estimate=estimate,
+                last_estimate=est,
             )
-        return estimate
+        return est
 
-    prev, cur = _first_estimates(values(_first_nodes()))
-    finite(prev, 1)
-    panels = 2
-    for doubling in range(max_doublings):
-        if doubling:
-            half, theta = _grid(panels)
-            cur = _estimate(half, values(theta))
-        if abs(finite(cur, panels) - prev) < tol / 2.0:
+    prev = estimate(1)
+    for doubling in range(1, max_doublings + 1):
+        cur = estimate(2**doubling)
+        if abs(cur - prev) < tol / 2.0:
             return cur
         prev = cur
-        panels *= 2
     raise NonConvergenceError(
         f"integrate_periodic did not converge to tol={tol}", last_estimate=prev
     )
-

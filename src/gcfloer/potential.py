@@ -321,7 +321,8 @@ def find_critical_points(po, config=SolverConfig()):
     so the result is a function of the set of grid points: every seed that
     finds every critical point returns the same list.  The exception is a
     point within about 1e-15 of the edge of a grid cell, which can round
-    either way.  Raises NonConvergenceError when no start converges.
+    either way.  Raises NonConvergenceError when no start converges to a
+    nondegenerate critical point.
     """
     E, c = po.exponent_matrix(), po.coeff_vector(config.T0)
     w = _newton(E, c, _start_points(po.nvars, config))
@@ -332,6 +333,11 @@ def find_critical_points(po, config=SolverConfig()):
         )
 
     _, degenerate = _normalized_det(_grad_hess_at_w(E, c, w)[1])
+    if degenerate.all():
+        raise NonConvergenceError(
+            f"every converged Newton start has a degenerate Hessian "
+            f"(starts={config.starts}, converged={len(w)})"
+        )
     w = _canonical_w(w[~degenerate])
     w = _canonical_w(_polish(E, c, w[_representatives(w)]))
     w = np.round(w / GRID) * GRID + 0.0  # + 0.0: one grid point for 0.0 and -0.0

@@ -100,6 +100,16 @@ def test_critical_without_converged_start_exits_3(capsys):
     assert "no Newton start converged" in err
 
 
+def test_critical_with_only_degenerate_limits_exits_3(capsys, monkeypatch):
+    from gcfloer import potential
+
+    monkeypatch.setattr(potential, "DEGENERATE_DET", 10.0)
+    code, out, err = run(capsys, "critical", "Fl3", "--starts", "50")
+    assert code == 3
+    assert out == ""
+    assert "degenerate Hessian" in err
+
+
 def test_critical_negative_seed_exits_2(capsys):
     code, out, err = run(capsys, "critical", "Fl3", "--seed", "-1")
     assert code == 2

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from gcfloer.floer import (
     pair_integral,
     projective_equal,
 )
+from gcfloer.numerics import integrate_periodic
 from gcfloer.novikov import (
     COEFF_PRUNE,
     NovikovMatrix,
@@ -170,6 +172,8 @@ def test_open_gw_integral_base_cases():
     assert abs(open_gw_integral(0, 1, 0.8) - 0.4) < 1e-12
     with pytest.raises(ValueError):
         open_gw_integral(-1, 0, 1.0)
+    with pytest.raises(OverflowError):
+        open_gw_integral(2, 0, 1e200)
 
 
 @settings(max_examples=15, deadline=None)
@@ -194,6 +198,110 @@ def test_pair_integral_closed_form():
     total = floer.pair_series(K=30)
     assert abs(total - 8.0 / (3.0 * np.pi)) < 1e-10
     assert abs(pair_integral(0, 0) - 1.0) < 1e-12
+
+
+# pi to 100 decimals, written out: an oracle independent of floer's Machin sum
+PI_100 = Fraction(
+    "3.1415926535897932384626433832795028841971693993751058209749445923078164"
+    "062862089986280348253421170679"
+)
+
+
+def _j_polynomials(K):
+    """J(k, l) = (1/(k! l!)) int_0^1 s^k (1 - s)^l e^{2 pi i s} ds as
+    polynomials in a = 1/(2 pi i), coefficient lists in ascending powers of a
+    with Fraction entries: rows m = 0..K, each a list over k = 0..m.  By
+    parts, J(k, l) = a (d(l)/k! - d(k)/l!) - a (J(k-1, l) - J(k, l-1))."""
+    zero = [Fraction(0)] * (K + 2)
+    rows = []
+    for m in range(K + 1):
+        row = []
+        for k in range(m + 1):
+            l = m - k
+            left = rows[-1][k - 1] if k else zero
+            right = rows[-1][k] if l else zero
+            # the constant term of e, then e shifted up one power of a
+            e0 = Fraction(l == 0, math.factorial(k)) - Fraction(k == 0, math.factorial(l))
+            e = [e0 - left[0] + right[0]] + [r - q for q, r in zip(left[1:], right[1:])]
+            row.append([Fraction(0)] + e[:-1])
+        rows.append(row)
+    return rows
+
+
+def test_disk_recurrence_sums_to_zero_in_each_degree():
+    # sum_k J(k, m - k) = (1/m!) int_0^1 (s + 1 - s)^m e^{2 pi i s} ds = 0:
+    # the binomial identity behind sum_{k+l=m} of the integrals = x^m/m!
+    for m, row in enumerate(_j_polynomials(40)):
+        assert not any(map(sum, zip(*row))), m
+
+
+def _exact_disk_coefficient(poly, m, pi):
+    """1/(m+1)! - Re J at a = 1/(2 pi i) = -i b, exactly, for a rational pi."""
+    b = 1 / (2 * pi)
+    re = sum(q * (-1) ** (j // 2) * b**j for j, q in enumerate(poly) if j % 2 == 0)
+    return Fraction(1, math.factorial(m + 1)) - re
+
+
+def test_disk_table_is_the_exact_value_rounded():
+    assert abs(floer._machin_pi(100) - PI_100 * 10**100) <= 1
+    for m, row in enumerate(_j_polynomials(20)):
+        for k, poly in enumerate(row):
+            want = float(_exact_disk_coefficient(poly, m, PI_100))
+            assert floer._disk_coefficient(k, m - k) == want, (k, m - k)
+
+
+def _disk_integrand(k, l):
+    kf, lf = math.factorial(k), math.factorial(l)
+
+    def f(theta):
+        s = theta / (2.0 * np.pi)
+        return s**k / kf * (1.0 - s) ** l / lf * (1.0 - np.cos(theta))
+
+    return f
+
+
+def test_disk_table_agrees_with_quadrature():
+    for m in range(41):
+        for k in range(m + 1):
+            want = integrate_periodic(_disk_integrand(k, m - k))
+            got = open_gw_integral(k, m - k, 1.0)
+            assert abs(got - want) <= 1e-11 * abs(want), (k, m - k)
+
+
+@pytest.mark.parametrize("k, l", [(0, 0), (1, 0), (0, 1), (2, 3), (7, 4), (12, 12), (0, 30)])
+def test_pair_integral_agrees_with_quadrature(k, l):
+    kf, lf = math.factorial(k), math.factorial(l)
+
+    def f(theta):
+        return (
+            (0.25j * theta) ** k / kf
+            * (1j * (theta / 4.0 - np.pi / 2.0)) ** l / lf
+            * (1.0 - np.cos(theta))
+        )
+
+    want = integrate_periodic(f)
+    assert abs(pair_integral(k, l) - want) <= 1e-11 * abs(want)
+
+
+def test_importing_floer_builds_no_table():
+    # a fresh copy of the module, executed as an import would execute it
+    spec = importlib.util.spec_from_file_location("gcfloer._floer_copy", floer.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module._DISK_TABLE == []
+
+
+def test_disk_table_grows_and_keeps_its_entries(monkeypatch):
+    monkeypatch.setattr(floer, "_DISK_TABLE", [])
+    first = floer._disk_coefficient(3, 4)
+    assert len(floer._DISK_TABLE) == 41
+    built = list(floer._DISK_TABLE)
+    floer._disk_coefficient(50, 30)
+    assert len(floer._DISK_TABLE) > 81
+    assert floer._DISK_TABLE[:41] == built
+    assert floer._disk_coefficient(3, 4) == first
+    with pytest.raises(ValueError):
+        floer._disk_coefficient(0, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ CASES = {
     "readme_floer_gr24_pair": ["floer", "Gr24", "--lam", "1", "--pair"],
     "polytope_outside_exit2": ["polytope", "Gr24", "--lam", "1", "--at", "5,5,5,5"],
     "critical_no_start_exit3": ["critical", "Fl3", "--starts", "1", "--seed", "10"],
+    "verify_all_fast": ["verify-all", "--fast"],
 }
 
 

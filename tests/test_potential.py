@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gcfloer import potential
 from gcfloer.flags import EigenProfile, FlagShape, grassmannian_shape
 from gcfloer.gc_core import build_polytope
+from gcfloer.numerics import NonConvergenceError
 from gcfloer.potential import (
     SolverConfig,
     build_potential,
@@ -101,6 +102,14 @@ def test_solver_config_validation():
     for starts in (0, -3):
         with pytest.raises(ValueError, match="starts"):
             SolverConfig(starts=starts)
+
+
+def test_all_degenerate_limits_raise_non_convergence(monkeypatch):
+    # once "cannot reshape array of size 0": every start converged, and the
+    # dedupe got an empty array once DEGENERATE_DET rejected every limit
+    monkeypatch.setattr(potential, "DEGENERATE_DET", 10.0)
+    with pytest.raises(NonConvergenceError, match="degenerate Hessian"):
+        find_critical_points(fl3_potential(), SolverConfig(starts=50))
 
 
 def test_solver_config_rejects_negative_seed():
