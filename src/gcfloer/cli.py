@@ -2,7 +2,8 @@
 
 Subcommands: polytope, potential, critical, qh, match, floer, verify-all.
 All numeric flags accept exact rationals as "p/q" strings; decimal-float
-literals are converted to exact rationals with a warning on stderr.
+literals are converted to exact rationals with a warning on stderr
+(`polytope --at` reads its components as floats, with no warning).
 Output is JSON (default) or CSV and is byte-stable for fixed flags/seed;
 the stdout of `critical`, its seed field aside, is the same for every
 seed that finds every critical point.
@@ -71,17 +72,12 @@ def cmd_polytope(args):
     space = SPACES[args.space]
     shape, profile = space.shape, space.profile(args)
     polytope = gc_core.build_polytope(shape, profile)
-    point = fiber = None
-    diamonds = None
+    point = fiber = diamonds = None
     if args.at is not None:
-        values = [float(v) for v in args.at.split(",")]
+        values = [float(Fraction(v)) if "/" in v else float(v) for v in args.at.split(",")]
         point = gc_core.GCPoint(tuple(values), polytope.index)
-        inside, _ = gc_core.contains(polytope, point)
-        if not inside:
-            print("error: point is not in the polytope", file=sys.stderr)
-            return 2
-        diamonds = gc_core.detect_diamonds(shape, profile, point)
         fiber = gc_core.classify_fiber(polytope, point, space.strata)
+        diamonds = gc_core.detect_diamonds(shape, profile, point)
     doc = gc_core.polytope_to_json(polytope, point=point, fiber=fiber)
     doc["space"] = args.space
     doc["facet_count"] = sum(1 for iq in polytope.inequalities if iq.facet)

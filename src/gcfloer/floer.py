@@ -406,12 +406,22 @@ def open_gw_integral(k, l, x):
     """The (k, l) disk-count integral
     int_0^{2pi} (1/k!) ((theta/2pi) x)^k (1/l!) ((1 - theta/2pi) x)^l
     (1 - cos theta) dtheta / 2pi = x^(k+l) c(k, l), with c(k, l) read from
-    the exact table of _disk_table.  A non-finite x raises ValueError, and
-    an x^(k+l) beyond the float range raises OverflowError."""
+    the exact table of _disk_table.  A non-finite x raises ValueError.  A
+    result beyond the float range raises OverflowError, as does an x^(k+l)
+    beyond it whose c(k, l) underflows to 0 in the table (first at
+    k + l = 176)."""
     x = complex(x)
     if not cmath.isfinite(x):
         raise ValueError(f"holonomy x must be finite, got {x}")
-    return x ** (k + l) * _disk_coefficient(k, l)
+    n, c = k + l, _disk_coefficient(k, l)
+    try:
+        return x ** n * c
+    except OverflowError:
+        if c == 0.0:  # c(k, l) > 0 underflowed in the table: no product to form
+            raise
+        # x^n alone overflows; the small c(k, l) can bring the product back
+        r = abs(x)
+        return math.exp(n * math.log(r) + math.log(c)) * (x / r) ** n
 
 
 def open_gw_series(x, K=40):

@@ -7,6 +7,18 @@ The Gelfand-Cetlin map records, for 1 <= i <= k <= n-1, the i-th largest
 eigenvalue of the upper-left k x k submatrix; entries that interlacing
 forces to be constant are dropped, and the remaining N entries (N the
 complex dimension) are ordered by level k descending, then i ascending.
+
+Fiber structure (the iterated-bundle picture of Cho-Kim-Oh, "Lagrangian
+fibers of Gelfand-Cetlin systems").  One cluster rule decides the type of
+the fiber over u.  At each level k = 1..n-1, with the constants filled in,
+the entries fall into runs: an entry joins the current run when it lies
+within GC_TOL of the run's first entry.  A run of m entries squeezes m - 1
+entries of level k+1 onto its value; if that value is more than GC_TOL from
+every other entry of level k+1, the run contributes a sphere S^(2m-1),
+otherwise a point.  The fiber's real dimension is the sum of the sphere
+dimensions, and it is Lagrangian when that sum is the complex dimension.
+Two adjacent entries of one run are a diamond unless all four of its
+corners are constants; a point without diamonds lies on a torus fiber.
 """
 
 import functools
@@ -192,47 +204,51 @@ def contains(polytope, u):
     return inside, np.flatnonzero(np.abs(slack) <= GC_TOL).tolist()
 
 
-def face_dimension(polytope, u):
-    """Dimension of the face whose relative interior contains u."""
-    inside, active = contains(polytope, u)
-    if not inside:
-        raise ValueError("point is not in the polytope")
-    if not active:
-        return len(polytope.index)
-    rank = np.linalg.matrix_rank(polytope.coeffs[active], tol=1e-10)
-    return len(polytope.index) - rank
+# ---------------------------------------------------------------------------
+# fiber structure
 
 
-def _full_table(shape, profile, u):
-    """All pattern values v[k][i] (1-based i), constants filled in."""
-    n = shape.ambient
-    table = {}
-    for k in range(1, n + 1):
-        for i in range(1, k + 1):
-            if is_constant_entry(shape, profile, i, k):
-                table[(i, k)] = float(profile.value(i))
-            else:
-                table[(i, k)] = u.entry(i, k)
-    return table
+def _runs(shape, profile, u):
+    """The cluster rule of the module docstring: (k, i, m, sphere) for each
+    run lambda_i^(k), ..., lambda_(i+m-1)^(k) of level k = 1..n-1, where
+    sphere says whether the run contributes S^(2m-1) or a point."""
+    if not isinstance(u, GCPoint):
+        u = GCPoint(tuple(u), index_set(shape, profile))
+    given = dict(zip(u.index, u.values))
+    levels = [[given.get((i, k), float(profile.value(i))) for i in range(1, k + 1)]
+              for k in range(1, shape.ambient + 1)]
+    runs = []
+    for k, (level, above) in enumerate(zip(levels, levels[1:]), start=1):
+        i = 0
+        while i < k:
+            m = 1
+            while i + m < k and abs(level[i + m] - level[i]) <= GC_TOL:
+                m += 1
+            # interlacing squeezes the m - 1 entries of level k+1 inside the run onto it
+            rest = above[:i + 1] + above[i + m:]
+            runs.append((k, i + 1, m, all(abs(level[i] - w) > GC_TOL for w in rest)))
+            i += m
+    return runs
+
+
+def fiber_structure(shape, profile, u):
+    """Dimensions of the sphere factors of the fiber over u, largest first:
+    (1, ..., 1) on a torus fiber, (3,) on the S^3 fiber of Fl(3)."""
+    return tuple(sorted((2 * m - 1 for _, _, m, sphere in _runs(shape, profile, u)
+                         if sphere), reverse=True))
 
 
 def detect_diamonds(shape, profile, u):
-    """Diamond degeneracies (k, i): lambda_i^{(k)} = lambda_{i+1}^{(k)} with
-    the entries directly above (i+1, k+1) and below (i, k-1) equal too."""
-    if not isinstance(u, GCPoint):
-        u = GCPoint(tuple(u), index_set(shape, profile))
-    n = shape.ambient
-    table = _full_table(shape, profile, u)
+    """Diamond degeneracies (k, i): lambda_i^(k) and lambda_(i+1)^(k) in one
+    run, which squeezes the entries above (i+1, k+1) and below (i, k-1) onto
+    it too."""
     found = []
-    for k in range(2, n):
-        for i in range(1, k):
+    for k, start, m, _ in _runs(shape, profile, u):
+        for i in range(start, start + m - 1):
             corners = ((i, k), (i + 1, k), (i + 1, k + 1), (i, k - 1))
             # a diamond all of whose corners are forced constants is a
             # feature of the profile, not a degeneracy of the point
-            if all(is_constant_entry(shape, profile, ci, ck) for ci, ck in corners):
-                continue
-            v = table[(i, k)]
-            if all(abs(table[c] - v) <= GC_TOL for c in corners[1:]):
+            if not all(is_constant_entry(shape, profile, ci, ck) for ci, ck in corners):
                 found.append((k, i))
     return found
 
@@ -388,10 +404,12 @@ class FiberDescriptor:
 def classify_fiber(polytope, u, strata=()):
     """Classify the Gelfand-Cetlin fiber over u in a built polytope.
 
-    A point without diamonds lies on a torus fiber.  Otherwise the first of
-    strata (a space's spaces.Stratum rows) whose diamonds are u's and whose
-    test u passes names the fiber, and a point on no row comes back as
-    unknown-nonsmooth.
+    Its real dimension is the sum of fiber_structure, and it is Lagrangian
+    when that sum is the complex dimension.  A point without diamonds lies
+    on a torus fiber.  Otherwise the first of strata (a space's
+    spaces.Stratum rows) whose diamonds and spheres are u's, and whose
+    where, if any, u passes, names the fiber; a point on no row comes back
+    as unknown-nonsmooth.
     """
     shape, profile = polytope.shape, polytope.profile
     if not isinstance(u, GCPoint):
@@ -399,16 +417,17 @@ def classify_fiber(polytope, u, strata=()):
     inside, _active = contains(polytope, u)
     if not inside:
         raise ValueError("point is not in the polytope")
-    n_dim = len(polytope.index)
+    spheres = fiber_structure(shape, profile, u)
+    dim = sum(spheres)
+    lagrangian = dim == shape.complex_dim
     diamonds = tuple(detect_diamonds(shape, profile, u))
     if not diamonds:
-        dim = face_dimension(polytope, u)
-        return FiberDescriptor("torus", dim, dim == n_dim)
+        return FiberDescriptor("torus", dim, lagrangian)
     blocks = tuple(float(v) for v in dict.fromkeys(profile.values))
     for row in strata:
-        if row.diamonds == diamonds and row.test(u.values, blocks, GC_TOL):
-            return FiberDescriptor(row.kind, row.real_dimension, row.lagrangian,
-                                   row.annotations)
+        if (row.diamonds, row.spheres) == (diamonds, spheres) and (
+                row.where is None or row.where(u.values, blocks, GC_TOL)):
+            return FiberDescriptor(row.kind, dim, lagrangian, row.annotations)
     return FiberDescriptor("unknown-nonsmooth", -1, False)
 
 

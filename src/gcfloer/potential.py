@@ -105,19 +105,6 @@ def evaluate(po, y, T0):
     return total
 
 
-def log_gradient(po):
-    """Vector of y_j d/dy_j PO = d/dx_j PO, one LaurentPoly per variable."""
-    out = []
-    for j in range(po.nvars):
-        terms = tuple(
-            LaurentTerm(t.coeff * t.y_exp[j], t.t_exp, t.y_exp)
-            for t in po.terms
-            if t.y_exp[j] != 0
-        )
-        out.append(LaurentPoly(terms, po.index))
-    return out
-
-
 def _exponents(w, E):
     """w @ E.T for a real E, as two real products: right after the complex
     gemm of a batched w @ E.T, np.exp runs about 13x slower."""

@@ -21,15 +21,15 @@ UNIT = SimpleNamespace(l1=1, l2=1, lam=1)
 @dataclass(frozen=True)
 class Stratum:
     """The fibers over the points u with these diamonds (gc_core.detect_diamonds)
-    for which test(u, blocks, tol) holds, blocks being the profile's block
-    values as floats, top first."""
+    and sphere dimensions (gc_core.fiber_structure).  Where those two cannot
+    tell rows apart, where(u, blocks, tol) must hold too, blocks being the
+    profile's block values as floats, top first."""
 
     diamonds: tuple
-    test: Callable
+    spheres: tuple
     kind: str  # S3 | U2 | U2xT2
-    real_dimension: int
-    lagrangian: bool
     annotations: tuple = ()
+    where: Callable = None
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,6 @@ def _fl3_critical_values(p, T0):
     return [potential.evaluate(po, y, T0) for y in points]
 
 
-def _equal(values, t, tol):
-    return all(abs(v - t) <= tol for v in values)
-
-
 # ---------------------------------------------------------------------------
 # Gr(2,4): the orbit of diag(2 lam, 2 lam, 0, 0); Gr(2,5): of diag(lam, lam, 0, 0, 0)
 
@@ -126,45 +122,28 @@ def _gr24_floer(p):
     return f"m1b_gr24({p.lam}, {p.t}, x={x})", novikov.m1b_gr24(p.lam, p.t, x)
 
 
-def _level(u, b, tol):
-    """u = (t, ..., t) with t strictly between the outer block values."""
-    return _equal(u, u[0], tol) and b[-1] + tol < u[0] < b[0] - tol
-
-
-def _gr25_l1(u, b, tol):
-    """L1(s1, s2, t) over u = (s2, s1, t, t, t, t), lam > s1 > s2 > t > 0."""
-    s2, s1, t = u[:3]
-    return (_equal(u[2:], t, tol) and b[0] - tol > s1 > s2 + tol and s2 > t + tol
-            and t > b[1] + tol)
-
-
-def _gr25_l2(u, b, tol):
-    """L2(s1, s2, t) over u = (t, t, t, t, s1, s2), 0 < s1 < s2 < t < lam."""
-    t, s1, s2 = u[0], u[4], u[5]
-    return (_equal(u[:4], t, tol) and b[1] + tol < s1 < s2 - tol and s2 < t - tol
-            and t < b[0] - tol)
-
-
 _DISPLACEABLE = ("displaceable", "HF vanishes over Lambda")
 
 SPACES = {space.name: space for space in (
     Space("Fl3", flags.FlagShape((1, 2), 3),
           lambda p: (as_fraction(p.l1), 0, -as_fraction(p.l2)),
           # the S^3 fiber over u = (0, 0, 0), the middle block value
-          strata=(Stratum(((2, 1),), lambda u, b, tol: _equal(u, b[1], tol), "S3", 3, True),),
+          strata=(Stratum(((2, 1),), (3,), "S3"),),
           floer=lambda p: (f"m1_fl3({p.l1}, {p.l2})", novikov.m1_fl3(p.l1, p.l2)),
           candidates=_fl3_candidates, critical_values=_fl3_critical_values,
           c1_eigenvalues=lambda q: qh.fl3_c1_eigenvalues(*q)),
     Space("Gr24", flags.grassmannian_shape(2, 4), lambda p: (2 * as_fraction(p.lam), 0),
           # the U(2) fiber L_t over u = (t, t, t, t), displaceable off the middle level
-          strata=(Stratum(((2, 1),), lambda u, b, tol: _level(u, b, tol)
-                          and abs(u[0] - (b[0] + b[-1]) / 2.0) <= tol, "U2", 4, True),
-                  Stratum(((2, 1),), _level, "U2", 4, True, ("displaceable",))),
+          strata=(Stratum(((2, 1),), (3, 1), "U2",
+                          where=lambda u, b, tol: abs(u[0] - (b[0] + b[-1]) / 2.0) <= tol),
+                  Stratum(((2, 1),), (3, 1), "U2", ("displaceable",))),
           floer=_gr24_floer, pad_zeros=True),
     Space("Gr25", flags.grassmannian_shape(2, 5), lambda p: (as_fraction(p.lam), 0),
-          strata=(Stratum(((2, 1),), _gr25_l1, "U2xT2", 6, True, _DISPLACEABLE),
-                  Stratum(((3, 1),), _gr25_l2, "U2xT2", 6, True, _DISPLACEABLE),
+          # L1(s1, s2, t) over u = (s2, s1, t, t, t, t), lam > s1 > s2 > t > 0,
+          # and L2(s1, s2, t) over u = (t, t, t, t, s1, s2), 0 < s1 < s2 < t < lam
+          strata=(Stratum(((2, 1),), (3, 1, 1, 1), "U2xT2", _DISPLACEABLE),
+                  Stratum(((3, 1),), (3, 1, 1, 1), "U2xT2", _DISPLACEABLE),
                   # over u = (t, ..., t): isotropic, not Lagrangian
-                  Stratum(((2, 1), (3, 1)), _level, "U2", 4, False)),
+                  Stratum(((2, 1), (3, 1)), (3, 1), "U2")),
           out_of_scope="vanishing follows from displaceability"),
 )}

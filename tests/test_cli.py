@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,6 +50,24 @@ def test_polytope_gr24_diamond_report(capsys):
     assert doc["fiber"]["lagrangian"] is True
 
 
+def test_polytope_diamonds_and_fiber_agree_in_the_tolerance_band(capsys):
+    # diamonds chained their tolerance from one corner and found [2, 1]
+    # here, while the S^3 row compared each entry with 0 within one GC_TOL
+    # and printed unknown-nonsmooth
+    code, out, _ = run(capsys, "polytope", "Fl3", "--at", "1e-8,1e-8,2e-8")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["diamonds"] == [[2, 1]]
+    fiber = doc["fiber"]
+    assert (fiber["kind"], fiber["real_dimension"], fiber["lagrangian"]) == ("S3", 3, True)
+
+
+def test_polytope_at_accepts_rationals(capsys):
+    code, out, err = run(capsys, "polytope", "Fl3", "--at", "1/2,-1/2,0")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "polytope", "Fl3", "--at", "0.5,-0.5,0")[1]
+
+
 def test_polytope_gr25_facets_and_csv(capsys):
     code, out, _ = run(capsys, "polytope", "Gr25", "--lam", "1")
     assert code == 0
@@ -72,6 +92,21 @@ def test_polytope_non_finite_point_is_invalid_input(capsys):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+def test_cli_import_runs_no_numeric_layer():
+    # `import gcfloer.cli` runs on every command: numpy and the numeric
+    # layers must wait for a command that uses them (a cold call pays for
+    # whatever this import executes)
+    code = (
+        "import json, sys, gcfloer.cli; "
+        "print(json.dumps(['numpy' in sys.modules, "
+        "[n for n in ('gc_core', 'potential', 'qh', 'numerics', 'floer', 'verify') "
+        "if type(sys.modules['gcfloer.' + n]).__name__ != '_LazyModule']]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert json.loads(proc.stdout) == [False, []]
 
 
 def test_potential_terms(capsys):

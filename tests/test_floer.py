@@ -176,6 +176,13 @@ def test_open_gw_integral_base_cases():
         open_gw_integral(2, 0, 1e200)
 
 
+def test_open_gw_integral_is_finite_where_only_the_power_overflows():
+    # x^40 = 1e320 is beyond the float range; x^40 c(40, 0) is about 6.4e268
+    got = open_gw_integral(40, 0, 1e8)
+    want = float(Fraction(10) ** 320 * Fraction(open_gw_integral(40, 0, 1.0).real))
+    assert abs(got - want) <= 1e-12 * want
+
+
 @settings(max_examples=15, deadline=None)
 @given(x=st.floats(-2.0, 2.0))
 def test_open_gw_series_sums_to_exp(x):

@@ -17,7 +17,7 @@ from gcfloer.gc_core import (
     classify_fiber,
     contains,
     detect_diamonds,
-    face_dimension,
+    fiber_structure,
     fl3_s3_point,
     gc_map,
     gr25_L1_frame,
@@ -203,17 +203,29 @@ def test_inequality_and_facet_counts():
 # membership, faces, diamonds
 
 
+def _reference_face_dimension(polytope, u):
+    """Dimension of the face whose relative interior contains u, from the rank
+    of its active rows: the oracle for the dimension of a torus fiber."""
+    inside, active = contains(polytope, u)
+    assert inside
+    if not active:
+        return len(polytope.index)
+    return len(polytope.index) - np.linalg.matrix_rank(polytope.coeffs[active], tol=1e-10)
+
+
 def test_contains_and_face_dimension():
     shape, profile = FL3, EigenProfile((1, 0, -1))
     polytope = build_polytope(shape, profile)
     interior = GCPoint((0.5, -0.5, 0.1), polytope.index)
     inside, active = contains(polytope, interior)
     assert inside and not active
-    assert face_dimension(polytope, interior) == 3
+    assert fiber_structure(shape, profile, interior) == (1, 1, 1)
+    assert _reference_face_dimension(polytope, interior) == 3
     vertex = GCPoint((1.0, 0.0, 1.0), polytope.index)
     inside, active = contains(polytope, vertex)
     assert inside and len(active) >= 3
-    assert face_dimension(polytope, vertex) == 0
+    assert fiber_structure(shape, profile, vertex) == ()
+    assert _reference_face_dimension(polytope, vertex) == 0
     outside = GCPoint((2.0, 0.0, 0.0), polytope.index)
     assert not contains(polytope, outside)[0]
     # a NaN slack would be neither violated nor active: no point is non-finite
@@ -237,32 +249,52 @@ def _reference_contains(polytope, u):
     return inside, active
 
 
-def test_contains_matches_per_inequality_loop():
+def _points_near_faces():
+    """(polytope, u) for 300 points of each of six polytopes: an interior
+    point, then some coordinates moved onto a profile value or another
+    coordinate, exactly or off by fractions of the tolerance."""
     rng = np.random.default_rng(37)
     cases = [(shape, profile) for _, shape, profile in spaces()]
     for steps, blocks in (((1, 2, 3), (3, 2, 1, 0)), ((1, 3), (2, 1, 0))):
         shape = FlagShape(steps, 4)
         cases.append((shape, EigenProfile.from_blocks(shape, blocks)))
     tol = gc_core.GC_TOL
-    seen = {"outside": 0, "on a face": 0, "interior": 0}
     for shape, profile in cases:
         polytope = build_polytope(shape, profile)
         n = shape.ambient
         diag = np.diag([float(v) for v in profile.values])
         for _ in range(300):
-            # an interior point, then some coordinates moved onto a profile
-            # value or another coordinate, exactly or off by fractions of
-            # the tolerance
             q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
             u = list(gc_map(q @ diag @ q.conj().T, shape, profile).values)
             targets = [float(v) for v in profile.values] + u
             for i in rng.choice(len(u), rng.integers(0, 3), replace=False):
                 u[i] = rng.choice(targets) + rng.choice([0.0, 0.5 * tol, -0.5 * tol, 2 * tol, -2 * tol])
-            got = contains(polytope, u)
-            assert got == _reference_contains(polytope, u)
-            assert all(type(j) is int for j in got[1])
-            seen["outside" if not got[0] else "on a face" if got[1] else "interior"] += 1
+            yield polytope, u
+
+
+def test_contains_matches_per_inequality_loop():
+    seen = {"outside": 0, "on a face": 0, "interior": 0}
+    for polytope, u in _points_near_faces():
+        got = contains(polytope, u)
+        assert got == _reference_contains(polytope, u)
+        assert all(type(j) is int for j in got[1])
+        seen["outside" if not got[0] else "on a face" if got[1] else "interior"] += 1
     assert min(seen.values()) > 50, seen
+
+
+def test_torus_dimension_is_the_face_dimension():
+    # on a point without diamonds the cluster rule counts one circle per
+    # dimension of the face through it, as the rank of its active rows does
+    checked = 0
+    for polytope, u in _points_near_faces():
+        shape, profile = polytope.shape, polytope.profile
+        if not contains(polytope, u)[0] or detect_diamonds(shape, profile, u):
+            continue
+        spheres = fiber_structure(shape, profile, u)
+        assert set(spheres) <= {1}
+        assert len(spheres) == _reference_face_dimension(polytope, u)
+        checked += 1
+    assert checked > 700, checked
 
 
 def test_detect_diamonds():
@@ -485,6 +517,23 @@ def test_classify_fiber_table():
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2xT2", 6, True)
     f = classify_fiber(polytope, GCPoint((0.4,) * 6, idx), strata)
     assert (f.kind, f.real_dimension, f.lagrangian) == ("U2", 4, False)
+
+
+def test_fiber_structure_beyond_the_registry():
+    # the U(3) fiber of Gr(3,6) over (t, ..., t): 9 = dim_C
+    shape, profile = grassmannian_shape(3, 6), gr2n_profile(3, 1)
+    u = gc_map(gr2n_un_point(3, 1, 0.3, np.eye(3)), shape, profile)
+    assert fiber_structure(shape, profile, u) == (5, 3, 1)
+    # Gr(2,6) over (t, ..., t): 4 of 8
+    shape = grassmannian_shape(2, 6)
+    profile = EigenProfile.from_blocks(shape, (1, -1))
+    assert fiber_structure(shape, profile, (0.3,) * 8) == (3, 1)
+    # Fl(4) at the wall profile, the middle diamond collapsed: an S^3 from
+    # level 2 to level 3, then three circles, 6 = dim_C
+    shape, profile = FlagShape((1, 2, 3), 4), EigenProfile((4, 2, 1, -1))
+    pattern = {(1, 1): 1.5, (1, 2): 1.5, (2, 2): 1.5, (1, 3): 3.0, (2, 3): 1.5, (3, 3): 0.0}
+    u = tuple(pattern[p] for p in index_set(shape, profile))
+    assert fiber_structure(shape, profile, u) == (3, 1, 1, 1)
 
 
 def test_classify_fiber_unknown_stratum():

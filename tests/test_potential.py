@@ -23,7 +23,6 @@ from gcfloer.potential import (
     gradient_at,
     hessian_at,
     hessian_nondegenerate,
-    log_gradient,
     verify_candidate,
 )
 from gcfloer.spaces import SPACES, UNIT
@@ -79,16 +78,6 @@ def test_evaluate_and_gradient_by_finite_differences():
         assert abs(fd - grad[j]) < 1e-6 * max(1.0, abs(grad[j]))
         fd_row = (gradient_at(po, yp, T0) - gradient_at(po, ym, T0)) / (2 * h)
         assert np.abs(fd_row - hess[j]).max() < 1e-5 * max(1.0, np.abs(hess).max())
-
-
-def test_log_gradient_matches_gradient_at():
-    po = fl3_potential()
-    grads = log_gradient(po)
-    y = np.array([0.7, -1.2 + 0.5j, 0.9j])
-    T0 = 0.45
-    direct = gradient_at(po, y, T0)
-    for j, g in enumerate(grads):
-        assert abs(evaluate(g, y, T0) - direct[j]) < 1e-12
 
 
 def test_evaluate_rejects_zero_coordinate():
