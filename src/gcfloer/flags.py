@@ -80,12 +80,6 @@ def grassmannian_shape(k, n):
     return FlagShape((k,), n)
 
 
-def gr2n_profile(n, lam):
-    """Gr(n,2n) as the orbit of diag(lam, ..., -lam)."""
-    lam = as_fraction(lam)
-    return EigenProfile((lam,) * n + (-lam,) * n)
-
-
 def is_constant_entry(shape, profile, i, k):
     """True when interlacing forces lambda_i^{(k)} to equal lambda_i."""
     n = shape.ambient

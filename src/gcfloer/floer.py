@@ -14,6 +14,7 @@ on first use and cached, and no quadrature is involved.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,7 +261,7 @@ def disk_area(disk, order=64):
 
 
 # ---------------------------------------------------------------------------
-# involutions and Plucker embeddings
+# anti-holomorphic involutions, Plucker coordinates, projective equality
 
 
 def involution_fl3(point, l1, l2):
@@ -281,33 +282,6 @@ def involution_gr24(t, point, lam):
     r = (lam + t) / (lam - t)
     z12, z13, z14, z23, z24, z34 = np.conj(z)
     return np.array([r * z34, z24, -z23, -z14, z13, z12 / r])
-
-
-def fl3_embed_s3(a, l1, l2):
-    """Plucker image of an S^3-fiber point with boundary datum a."""
-    a = np.asarray(a, dtype=complex)
-    r = np.sqrt(float(l1) / float(l2))
-    p = np.array([a[0], a[1], r])
-    q = np.array([np.conj(a[0]), np.conj(a[1]), -1.0 / r])
-    return p, q
-
-
-def gr24_embed_lt(a0, a1, a2, lam, t):
-    """Plucker image of the L_t point labelled by (a0, (a1, a2)) in
-    U(1) x SU(2)."""
-    lam, t = float(lam), float(t)
-    s = math.sqrt((lam + t) / (lam - t))
-    return np.array(
-        [
-            s,
-            -a0 * np.conj(a2),
-            np.conj(a1),
-            -a0 * a1,
-            -a2,
-            a0 / s,
-        ],
-        dtype=complex,
-    )
 
 
 def plucker_of_frame(Z):
@@ -350,7 +324,7 @@ def _machin_pi(digits):
 
 
 def _disk_table(K):
-    """Rows m = 0..K of c(k, m - k), k = 0..m, as floats, where
+    """Rows m = 0..K of (c, log c) for c = c(k, m - k), k = 0..m, where
     c(k, l) = (1/(k! l!)) int_0^1 s^k (1 - s)^l (1 - cos 2 pi s) ds.
 
     With J(k, l) = (1/(k! l!)) int_0^1 s^k (1 - s)^l e^{2 pi i s} ds,
@@ -359,10 +333,16 @@ def _disk_table(K):
     a = 1/(2 pi i), d(n) = 1 if n = 0 else 0, J(0, 0) = 0 and J = 0 at a
     negative index.  The recurrence cancels fewer than log10((K+1)!)
     digits (about 29 at K = 40, 140 at K = 120), so it runs in decimal
-    arithmetic with 40 digits more than that, and at least 100; each entry
-    is rounded to float once, at the end.
+    arithmetic with 40 digits more than that, and at least 100; each c is
+    rounded to float once, at the end, and below the normal floats (from
+    k + l = 170 on), where that float keeps few digits, log c too.
     """
     import decimal
+
+    def float_and_log(c):
+        f, e = float(c), c.adjusted()  # c = m 10^e with 1 <= m < 10
+        return f, (math.log(f) if f >= sys.float_info.min
+                   else math.log(float(c.scaleb(-e))) + e * math.log(10))
 
     digits = max(100, 40 + len(str(math.factorial(K + 1))))
     with decimal.localcontext() as ctx:
@@ -383,7 +363,7 @@ def _disk_table(K):
                 if l:
                     re, im = re + prev[k][0], im + prev[k][1]
                 cur.append((b * im, -b * re))
-            rows.append(tuple(float(inv_fact[m + 1] - re) for re, _ in cur))
+            rows.append(tuple(float_and_log(inv_fact[m + 1] - re) for re, _ in cur))
             prev = cur
     return rows
 
@@ -392,8 +372,8 @@ _DISK_TABLE = []  # the rows of _disk_table, built on first use
 
 
 def _disk_coefficient(k, l):
-    """c(k, l) from the cached table, which is built (at least to K = 40)
-    or grown (at least twofold) when k + l lies beyond it."""
+    """(c(k, l), log c(k, l)) from the cached table, which is built (at
+    least to K = 40) or grown (at least twofold) when k + l lies beyond it."""
     if k < 0 or l < 0:
         raise ValueError("k, l must be non-negative")
     m = k + l
@@ -406,22 +386,20 @@ def open_gw_integral(k, l, x):
     """The (k, l) disk-count integral
     int_0^{2pi} (1/k!) ((theta/2pi) x)^k (1/l!) ((1 - theta/2pi) x)^l
     (1 - cos theta) dtheta / 2pi = x^(k+l) c(k, l), with c(k, l) read from
-    the exact table of _disk_table.  A non-finite x raises ValueError.  A
-    result beyond the float range raises OverflowError, as does an x^(k+l)
-    beyond it whose c(k, l) underflows to 0 in the table (first at
-    k + l = 176)."""
+    the exact table of _disk_table.  A non-finite x raises ValueError, a
+    result beyond the float range OverflowError."""
     x = complex(x)
     if not cmath.isfinite(x):
         raise ValueError(f"holonomy x must be finite, got {x}")
-    n, c = k + l, _disk_coefficient(k, l)
-    try:
-        return x ** n * c
-    except OverflowError:
-        if c == 0.0:  # c(k, l) > 0 underflowed in the table: no product to form
-            raise
-        # x^n alone overflows; the small c(k, l) can bring the product back
-        r = abs(x)
-        return math.exp(n * math.log(r) + math.log(c)) * (x / r) ** n
+    n, (c, log_c) = k + l, _disk_coefficient(k, l)
+    if c >= sys.float_info.min or not x:
+        try:
+            return x ** n * c
+        except OverflowError:
+            pass
+    # x^n overflows, or c lies below the normal floats: the product by logs
+    r = abs(x)
+    return math.exp(n * math.log(r) + log_c) * (x / r) ** n
 
 
 def open_gw_series(x, K=40):
@@ -439,9 +417,12 @@ def pair_integral(k, l):
     """The (k, l) integral of the (b, -b) pair differential at b = i pi/2:
     int (1/k!) (i theta/4)^k (1/l!) (i (theta/4 - pi/2))^l
     (1 - cos theta) dtheta / 2pi = (i pi/2)^(k+l) (-1)^l c(k, l)."""
-    c = _disk_coefficient(k, l)
+    c, log_c = _disk_coefficient(k, l)
     n = k + l
-    return (1, 1j, -1, -1j)[n % 4] * (-1) ** l * (math.pi / 2.0) ** n * c
+    unit = (1, 1j, -1, -1j)[n % 4] * (-1) ** l
+    if c >= sys.float_info.min:
+        return unit * (math.pi / 2.0) ** n * c
+    return unit * math.exp(n * math.log(math.pi / 2.0) + log_c)
 
 
 def pair_series(K=40):

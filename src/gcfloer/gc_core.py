@@ -19,6 +19,16 @@ otherwise a point.  The fiber's real dimension is the sum of the sphere
 dimensions, and it is Lagrangian when that sum is the complex dimension.
 Two adjacent entries of one run are a diamond unless all four of its
 corners are constants; a point without diamonds lies on a torus fiber.
+
+Fiber points (Guillemin-Sternberg's bordering).  fiber_point builds x with
+gc_map(x) = u one leading block at a time.  With mu the eigenvalues of X_k
+(level k) and nu those of X_(k+1), a value delta of mu of multiplicity m
+squeezes m - 1 entries of nu onto it; with nu' the entries left, X_(k+1)
+borders X_k by a column of squared norm W_delta = -prod(delta - nu') /
+prod_(delta' != delta)(delta - delta') on delta's eigenspace, in a random
+direction there (a point of the S^(2m-1) of the cluster rule, or 0 where
+it finds a point), and by the corner sum(nu) - sum(mu).  The pattern is
+taken exactly, so no tolerance enters: W_delta < 0 only off the polytope.
 """
 
 import functools
@@ -29,6 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .flags import EigenProfile, FlagShape, index_set, is_constant_entry
+from .novikov import as_fraction
 from .numerics import leading_block_defects, require_hermitian
 
 GC_TOL = 1e-8  # gap at which two pattern values, or a point and a facet, count as equal
@@ -50,9 +61,6 @@ class GCPoint:
         object.__setattr__(self, "values", values)
         if not all(map(math.isfinite, values)):
             raise ValueError("point values must be finite")
-
-    def entry(self, i, k):
-        return self.values[self.index.index((i, k))]
 
     def as_array(self):
         return np.array(self.values)
@@ -318,75 +326,49 @@ def gc_map(x, shape, profile):
 
 
 # ---------------------------------------------------------------------------
-# fiber constructors
+# fiber points
 
 
-def fl3_s3_point(l1, l2, a):
-    """A point of the Lagrangian S^3 fiber of Fl(3) over u = (0,0,0)."""
-    l1f, l2f = float(l1), float(l2)
-    if l1f <= 0 or l2f <= 0:
-        raise ValueError("l1, l2 must be positive")
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (2,) or abs(np.linalg.norm(a) - 1.0) > 1e-10:
-        raise ValueError("a must be a unit vector in C^2")
-    z = np.sqrt(l1f * l2f) * a
-    x = np.zeros((3, 3), dtype=complex)
-    x[0, 2] = z[0]
-    x[1, 2] = z[1]
-    x[2, 0] = np.conj(z[0])
-    x[2, 1] = np.conj(z[1])
-    x[2, 2] = l1f - l2f
+def fiber_point(shape, profile, u, rng):
+    """A point x of the orbit with gc_map(x) = u, sampled by bordering as in
+    the module docstring; rng is a numpy Generator.  Raises ValueError when
+    u has the wrong length or is not in the polytope."""
+    idx = index_set(shape, profile)
+    values = tuple(u)
+    if len(values) != len(idx):
+        raise ValueError(f"u has {len(values)} entries, the index set {len(idx)}")
+    given = dict(zip(idx, map(as_fraction, values)))
+    levels = [[given.get((i, k), profile.value(i)) for i in range(1, k + 1)]
+              for k in range(1, shape.ambient + 1)]
+    # every entry as an exact integer multiple of 1 / scale
+    scale = math.lcm(*(v.denominator for level in levels for v in level))
+    levels = [[v.numerator * (scale // v.denominator) for v in level] for level in levels]
+    x = np.zeros((shape.ambient,) * 2, dtype=complex)
+    x[0, 0] = levels[0][0] / scale
+    vecs = np.ones((1, 1))  # eigenvectors of x[:k, :k], by descending eigenvalue
+    for k, (mu, nu) in enumerate(zip(levels, levels[1:]), start=1):
+        clusters = {delta: [pos for pos, v in enumerate(mu) if v == delta] for delta in mu}
+        # interlacing squeezes nu at a cluster's later positions onto its
+        # value; rest, one value more than clusters, makes W_delta / scale^2
+        squeezed = {pos for where in clusters.values() for pos in where[1:]}
+        rest = [v for pos, v in enumerate(nu) if pos not in squeezed]
+        weights = {delta: Fraction(-math.prod(delta - v for v in rest),
+                                   math.prod(delta - d for d in clusters if d != delta))
+                   for delta in clusters}
+        if (mu != sorted(mu, reverse=True) or any(nu[pos] != mu[pos] for pos in squeezed)
+                or min(weights.values()) < 0):
+            raise ValueError(f"u is not in the polytope: level {k} does not "
+                             f"interlace level {k + 1}")
+        # on each cluster, a complex Gaussian scaled to norm sqrt(W_delta)
+        beta = rng.normal(size=2 * k).view(complex)
+        for delta, where in clusters.items():
+            g = beta[where]
+            beta[where] = g * (math.sqrt(weights[delta] / np.vdot(g, g).real) / scale)
+        b = vecs @ beta
+        x[:k, k], x[k, :k], x[k, k] = b, b.conj(), (sum(nu) - sum(mu)) / scale
+        if k + 1 < shape.ambient:
+            vecs = np.linalg.eigh(x[:k + 1, :k + 1])[1][:, ::-1]
     return x
-
-
-def gr2n_un_point(n, lam, t, A):
-    """A point of the Lagrangian U(n) fiber of Gr(n,2n) over u = (t,...,t)."""
-    lamf, tf = float(lam), float(t)
-    if not -lamf < tf < lamf:
-        raise ValueError("need -lam < t < lam")
-    A = np.asarray(A, dtype=complex)
-    if A.shape != (n, n) or np.abs(A.conj().T @ A - np.eye(n)).max() > 1e-10:
-        raise ValueError("A must be an n x n unitary matrix")
-    s = np.sqrt(lamf**2 - tf**2)
-    x = np.zeros((2 * n, 2 * n), dtype=complex)
-    x[:n, :n] = tf * np.eye(n)
-    x[n:, n:] = -tf * np.eye(n)
-    x[:n, n:] = s * A.conj().T
-    x[n:, :n] = s * A
-    return x
-
-
-def gr25_L1_frame(lam, s1, s2, t, theta1=0.0, theta2=0.0, B=None):
-    """Normalized 5x2 frame Z with Z* Z = I_2 for a point of L1(s1, s2, t).
-
-    Rows 1-2 are sqrt(t/lam) B for a 2x2 unitary B; rows 3-5 carry the
-    radical normalization of the stratum.
-    """
-    lamf, s1f, s2f, tf = map(float, (lam, s1, s2, t))
-    if not lamf > s1f > s2f > tf > 0:
-        raise ValueError("need lam > s1 > s2 > t > 0")
-    if B is None:
-        B = np.eye(2, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if B.shape != (2, 2) or np.abs(B.conj().T @ B - np.eye(2)).max() > 1e-10:
-        raise ValueError("B must be a 2 x 2 unitary matrix")
-    den = lamf * (lamf - s2f)
-    e1 = np.exp(1j * float(theta1))
-    e2 = np.exp(1j * float(theta2))
-    Z = np.zeros((5, 2), dtype=complex)
-    Z[:2, :] = np.sqrt(tf / lamf) * B
-    Z[2, 0] = np.sqrt((s2f - tf) * (lamf - s1f) / den) * e1
-    Z[2, 1] = -np.sqrt((lamf - tf) * (s1f - s2f) / den) * e1
-    Z[3, 0] = np.sqrt((s2f - tf) * (s1f - s2f) / den) * e2
-    Z[3, 1] = np.sqrt((lamf - tf) * (lamf - s1f) / den) * e2
-    Z[4, 0] = np.sqrt((lamf - s2f) / lamf)
-    return Z
-
-
-def gr25_L1_point(lam, s1, s2, t, theta1=0.0, theta2=0.0, B=None):
-    """A point x = lam Z Z* of the U(2) x T^2 fiber L1(s1, s2, t) of Gr(2,5)."""
-    Z = gr25_L1_frame(lam, s1, s2, t, theta1, theta2, B)
-    return float(lam) * (Z @ Z.conj().T)
 
 
 # ---------------------------------------------------------------------------

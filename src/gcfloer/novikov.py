@@ -38,8 +38,8 @@ def as_fraction(x):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(repr(x))
+    if isinstance(x, float):  # numpy's float64 too, whose repr names its type
+        return Fraction(float.__repr__(x))
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")

@@ -142,10 +142,6 @@ def gradient_at(po, y, T0):
     return _grad_hess_at_y(po, y, T0)[0]
 
 
-def hessian_at(po, y, T0):
-    return _grad_hess_at_y(po, y, T0)[1]
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     T0: float = 0.5

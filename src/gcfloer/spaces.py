@@ -133,7 +133,8 @@ SPACES = {space.name: space for space in (
           candidates=_fl3_candidates, critical_values=_fl3_critical_values,
           c1_eigenvalues=lambda q: qh.fl3_c1_eigenvalues(*q)),
     Space("Gr24", flags.grassmannian_shape(2, 4), lambda p: (2 * as_fraction(p.lam), 0),
-          # the U(2) fiber L_t over u = (t, t, t, t), displaceable off the middle level
+          # the U(2) fiber L_t over u = (lam + t, ...): floer's t is u - lam, the
+          # profile's middle; displaceable off the middle level
           strata=(Stratum(((2, 1),), (3, 1), "U2",
                           where=lambda u, b, tol: abs(u[0] - (b[0] + b[-1]) / 2.0) <= tol),
                   Stratum(((2, 1),), (3, 1), "U2", ("displaceable",))),

@@ -14,6 +14,7 @@ the default settings are the ones the test suite pins.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -301,10 +302,20 @@ def _random_orbit_points(rng, profile, count):
     return u_mat @ np.diag(vals) @ np.swapaxes(u_mat.conj(), -1, -2)
 
 
+# stratum points of each space at UNIT, one per Stratum row: Fl3's S^3;
+# Gr24's L_t at t = 1/4 and at the monotone level; Gr25's L1, L2 and U(2)
+_FIBER_POINTS = {
+    "Fl3": [(0, 0, 0)],
+    "Gr24": [(1.25,) * 4, (1,) * 4],
+    "Gr25": [(0.5, 0.7, 0.3, 0.3, 0.3, 0.3), (0.5, 0.5, 0.5, 0.5, 0.2, 0.3), (0.4,) * 6],
+}
+
+
 def check_geometry(fast=False):
     """Check 08: random orbit points map into the polytope under gc_map,
-    the fiber constructors land on their pattern points, and the disk,
-    involution and h(t) identities hold.
+    fiber points sampled over _FIBER_POINTS (fast: each space's first) map
+    back and lie on a Stratum row, and the disk, involution and h(t)
+    identities hold.
 
     Each space's orbit points come from one draw and one stacked QR;
     gc_map and contains still run once per point.  A space whose image
@@ -314,9 +325,10 @@ def check_geometry(fast=False):
     problems = []
     n_points = 34 if fast else 334
     rng = np.random.default_rng(2024)
+    polytopes = {}
     for name, space in SPACES.items():
         profile = space.profile(UNIT)
-        polytope = gc_core.build_polytope(space.shape, profile)
+        polytopes[name] = polytope = gc_core.build_polytope(space.shape, profile)
         for x in _random_orbit_points(rng, profile, n_points):
             u = gc_core.gc_map(x, space.shape, profile)
             inside, _ = gc_core.contains(polytope, u)
@@ -324,23 +336,18 @@ def check_geometry(fast=False):
                 problems.append(f"{name}: moment image left the polytope")
                 break
 
-    # fiber constructors land on their pattern points
-    fl3 = SPACES["Fl3"]
-    u = gc_core.gc_map(gc_core.fl3_s3_point(1, 1, [0.6, 0.8j]), fl3.shape, fl3.profile(UNIT))
-    if np.max(np.abs(u.as_array())) > 1e-8:
-        problems.append("fl3_s3_point misses u = (0,0,0)")
-    shape = flags.grassmannian_shape(2, 4)
-    profile = flags.gr2n_profile(2, 1)
-    A = np.array([[0.6, 0.8j], [0.8, -0.6j]])
-    u = gc_core.gc_map(gc_core.gr2n_un_point(2, 1, 0.25, A), shape, profile)
-    if np.max(np.abs(u.as_array() - 0.25)) > 1e-8:
-        problems.append("gr2n_un_point misses u = (t,t,t,t)")
-    gr25 = SPACES["Gr25"]
-    x = gc_core.gr25_L1_point(1, 0.7, 0.5, 0.3, 0.4, 1.1, A)
-    u = gc_core.gc_map(x, gr25.shape, gr25.profile(UNIT))
-    want = np.array([0.5, 0.7, 0.3, 0.3, 0.3, 0.3])
-    if np.max(np.abs(u.as_array() - want)) > 1e-8:
-        problems.append("gr25_L1_point misses u = (s2, s1, t, t, t, t)")
+    # sampled fiber points land on their pattern points and on a stratum
+    rng = np.random.default_rng(5)
+    for name, points in _FIBER_POINTS.items():
+        space, polytope = SPACES[name], polytopes[name]
+        for want in points[:1] if fast else points:
+            x = gc_core.fiber_point(space.shape, polytope.profile, want, rng)
+            u = gc_core.gc_map(x, space.shape, polytope.profile)
+            if np.max(np.abs(u.as_array() - want)) > 1e-8:
+                problems.append(f"{name}: sampled point misses u = {want}")
+            elif gc_core.classify_fiber(polytope, u, space.strata).kind in (
+                    "torus", "unknown-nonsmooth"):
+                problems.append(f"{name}: no stratum row names u = {want}")
 
     # disks: incidence/unitarity residuals and areas
     d1 = floer.fl3_disk([-1.0, 0.0], +1, 1.0, 1.0)
@@ -360,30 +367,28 @@ def check_geometry(fast=False):
     if abs(floer.disk_area(g2) - (lam - t)) > 1e-5:
         problems.append(f"beta2 area {floer.disk_area(g2)} != lam - t")
 
-    # involutions: fixed sets and tau_0(L_t) = L_{-t}
+    # involutions on sampled fiber points: tau fixes the S^3 fiber of Fl3,
+    # tau_t fixes L_t and tau_0 carries it to L_{-t}; floer's t is u - lam
     rng = np.random.default_rng(7)
+    fl3 = SPACES["Fl3"]
+    profile = fl3.profile(SimpleNamespace(l1=1.3, l2=0.8))
     for _ in range(5):
-        a = rng.normal(size=2) + 1j * rng.normal(size=2)
-        a /= np.linalg.norm(a)
-        pt = floer.fl3_embed_s3(a, 1.3, 0.8)
+        vecs = np.linalg.eigh(gc_core.fiber_point(fl3.shape, profile, (0, 0, 0), rng))[1]
+        pt = (vecs[:, 2], vecs[:, 0].conj())  # the line, and the plane's normal
         im = floer.involution_fl3(pt, 1.3, 0.8)
-        if not (
-            floer.projective_equal(pt[0], im[0])
-            and floer.projective_equal(pt[1], im[1])
-        ):
+        if not all(map(floer.projective_equal, pt, im)):
             problems.append("fl3 involution does not fix the S^3 fiber")
             break
+    gr24 = SPACES["Gr24"]
+    profile, u = gr24.profile(UNIT), (Fraction(lam + t),) * 4
     for _ in range(5):
-        phase = np.exp(1j * rng.uniform(-np.pi, np.pi))
-        col = rng.normal(size=2) + 1j * rng.normal(size=2)
-        col /= np.linalg.norm(col)
-        z = floer.gr24_embed_lt(phase, col[0], col[1], lam, t)
+        x = gc_core.fiber_point(gr24.shape, profile, u, rng)
+        z = floer.plucker_of_frame(np.linalg.eigh(x)[1][:, 2:])
         if not floer.projective_equal(z, floer.involution_gr24(t, z, lam)):
             problems.append("gr24 involution does not fix L_t")
             break
         flipped = floer.involution_gr24(0.0, z, lam)
-        target = floer.gr24_embed_lt(phase, col[0], col[1], lam, -t)
-        if not floer.projective_equal(flipped, target):
+        if not floer.projective_equal(flipped, floer.involution_gr24(-t, flipped, lam)):
             problems.append("tau_0(L_t) != L_{-t}")
             break
 

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,15 +13,15 @@ from gcfloer.floer import (
     disk_area,
     displacement_energy_bound,
     fl3_disk,
-    fl3_embed_s3,
-    gr24_embed_lt,
     gr_disk,
     involution_fl3,
     involution_gr24,
     open_gw_integral,
     pair_integral,
+    plucker_of_frame,
     projective_equal,
 )
+from gcfloer.gc_core import fiber_point, gc_map
 from gcfloer.numerics import integrate_periodic
 from gcfloer.novikov import (
     COEFF_PRUNE,
@@ -31,6 +32,7 @@ from gcfloer.novikov import (
     m1b_gr24,
     module_presentation,
 )
+from gcfloer.spaces import SPACES, UNIT
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +133,32 @@ def test_gr_disk_validation():
 # involutions
 
 
+def _plane_of(z, lam):
+    """The orbit point 2 lam P of Gr24 (spaces' profile (2 lam, 2 lam, 0, 0))
+    whose plane, P its orthogonal projection, has Plucker coordinates z:
+    with z12 = 1 the plane is spanned by (1, 0, -z23, -z24), (0, 1, z13, z14)."""
+    z12, z13, z14, z23, z24, _ = np.asarray(z) / z[0]
+    q, _ = np.linalg.qr(np.array([[1, 0], [0, 1], [-z23, z13], [-z24, z14]]))
+    return 2 * lam * q @ q.conj().T
+
+
 def test_involution_gr24_fixes_lt_and_swaps_levels():
+    # points of L_t sampled over u = lam + t, floer's t being u - lam
     lam, t = 1.0, 0.3
+    shape, profile = SPACES["Gr24"].shape, SPACES["Gr24"].profile(UNIT)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        phase = np.exp(1j * rng.uniform(-np.pi, np.pi))
-        col = rng.normal(size=2) + 1j * rng.normal(size=2)
-        col /= np.linalg.norm(col)
-        z = gr24_embed_lt(phase, col[0], col[1], lam, t)
+        x = fiber_point(shape, profile, (lam + t,) * 4, rng)
+        z = plucker_of_frame(np.linalg.eigh(x)[1][:, 2:])
+        u = gc_map(_plane_of(z, lam), shape, profile).as_array()
+        assert np.abs(u - (lam + t)).max() < 1e-12
         assert projective_equal(z, involution_gr24(t, z, lam))
-        # tau_0 carries L_t to L_{-t}
-        assert projective_equal(
-            involution_gr24(0.0, z, lam),
-            gr24_embed_lt(phase, col[0], col[1], lam, -t),
-        )
+        # tau_0 carries L_t to L_{-t}, which lies over u = lam - t
+        flipped = involution_gr24(0.0, z, lam)
+        assert projective_equal(flipped, involution_gr24(-t, flipped, lam))
+        assert not projective_equal(flipped, involution_gr24(t, flipped, lam))
+        u = gc_map(_plane_of(flipped, lam), shape, profile).as_array()
+        assert np.abs(u - (lam - t)).max() < 1e-12
 
 
 def test_involution_fl3_is_an_involution():
@@ -155,9 +169,13 @@ def test_involution_fl3_is_an_involution():
     assert np.abs(pp - p).max() < 1e-12 and np.abs(qq - q).max() < 1e-12
 
 
-def test_fl3_embed_s3_hits_fixed_locus():
-    a = np.array([0.6, 0.8j])
-    p, q = fl3_embed_s3(a, 2.0, 1.0)
+def test_fl3_s3_fiber_hits_fixed_locus():
+    # a flag as (its line, the covector whose kernel is its plane)
+    space = SPACES["Fl3"]
+    profile = space.profile(SimpleNamespace(l1=2, l2=1))
+    x = fiber_point(space.shape, profile, (0, 0, 0), np.random.default_rng(8))
+    vecs = np.linalg.eigh(x)[1]
+    p, q = vecs[:, 2], vecs[:, 0].conj()
     ip, iq = involution_fl3((p, q), 2.0, 1.0)
     assert projective_equal(p, ip) and projective_equal(q, iq)
 
@@ -254,7 +272,31 @@ def test_disk_table_is_the_exact_value_rounded():
     for m, row in enumerate(_j_polynomials(20)):
         for k, poly in enumerate(row):
             want = float(_exact_disk_coefficient(poly, m, PI_100))
-            assert floer._disk_coefficient(k, m - k) == want, (k, m - k)
+            assert floer._disk_coefficient(k, m - k)[0] == want, (k, m - k)
+
+
+def _exact_disk_coefficient_k0(k, pi, terms=40):
+    """c(k, 0) = (1/k!) sum_{j >= 1} (-1)^(j+1) (2 pi)^(2j) / ((2j)! (k + 2j + 1)),
+    from the Taylor series of 1 - cos 2 pi s; the terms after j = 40 add
+    less than 1e-54 of the sum for the k used here."""
+    total, power = Fraction(0), Fraction(1)
+    for j in range(1, terms + 1):
+        power *= (2 * pi) ** 2 / ((2 * j - 1) * (2 * j))
+        total += (-1) ** (j + 1) * power / (k + 2 * j + 1)
+    return total / math.factorial(k)
+
+
+def test_open_gw_integral_where_the_table_entry_is_not_a_normal_float(monkeypatch):
+    # c(170, 0) ~ 1e-312 is subnormal, c(176, 0) ~ 3.5e-326 underflows to 0:
+    # the integral reads log c, not the float c, and x = 1e3 does not overflow
+    monkeypatch.setattr(floer, "_DISK_TABLE", [])
+    for k, x in ((176, 1e3), (176, 10.0), (175, 10.0), (170, 10.0)):
+        want = float(Fraction(x) ** k * _exact_disk_coefficient_k0(k, PI_100))
+        got = open_gw_integral(k, 0, x)
+        assert abs(got - want) <= 1e-12 * want, (k, x, got, want)
+    # the pair integral reads the same entries: (i pi/2)^176 c(176, 0) ~ 7e-292
+    want = float((PI_100 / 2) ** 176 * _exact_disk_coefficient_k0(176, PI_100))
+    assert abs(pair_integral(176, 0) - want) <= 1e-12 * want
 
 
 def _disk_integrand(k, l):

@@ -17,17 +17,16 @@ from gcfloer.gc_core import (
     classify_fiber,
     contains,
     detect_diamonds,
+    fiber_point,
     fiber_structure,
-    fl3_s3_point,
     gc_map,
-    gr25_L1_frame,
-    gr25_L1_point,
-    gr2n_un_point,
 )
-from gcfloer.flags import EigenProfile, FlagShape, gr2n_profile, grassmannian_shape, index_set
+from gcfloer.flags import EigenProfile, FlagShape, grassmannian_shape, index_set
 from gcfloer.spaces import SPACES, UNIT
 
 FL3 = FlagShape((1, 2), 3)
+GR36, GR36_PROFILE = grassmannian_shape(3, 6), EigenProfile((1, 1, 1, -1, -1, -1))
+RNG = np.random.default_rng(17)
 
 
 def spaces():
@@ -314,27 +313,67 @@ def test_detect_diamonds():
 
 
 # ---------------------------------------------------------------------------
-# the moment map and fiber constructors
+# the moment map and fiber points
 
 
 def test_gc_map_on_fiber_constructors():
+    # points sampled on the S^3 fiber of Fl(3), the U(2) fiber of Gr(2,4)
+    # and the U(2) x T^2 fiber L1 of Gr(2,5) map back onto their patterns
     shape, profile = FL3, EigenProfile((2, 0, -1))
-    u = gc_map(fl3_s3_point(2, 1, [0.6, 0.8]), shape, profile)
+    u = gc_map(fiber_point(shape, profile, (0, 0, 0), RNG), shape, profile)
     assert np.abs(u.as_array()).max() < 1e-9
 
-    shape, profile = grassmannian_shape(2, 4), gr2n_profile(2, 1)
-    A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    u = gc_map(gr2n_un_point(2, 1, -0.4, A), shape, profile)
+    shape, profile = grassmannian_shape(2, 4), EigenProfile((1, 1, -1, -1))
+    u = gc_map(fiber_point(shape, profile, (-0.4,) * 4, RNG), shape, profile)
     assert np.abs(u.as_array() + 0.4).max() < 1e-9
 
     shape, profile = grassmannian_shape(2, 5), EigenProfile((1, 1, 0, 0, 0))
-    u = gc_map(gr25_L1_point(1, 0.8, 0.6, 0.2, 0.3, -1.2), shape, profile)
-    assert np.abs(u.as_array() - [0.6, 0.8, 0.2, 0.2, 0.2, 0.2]).max() < 1e-9
+    want = (0.6, 0.8, 0.2, 0.2, 0.2, 0.2)
+    u = gc_map(fiber_point(shape, profile, want, RNG), shape, profile)
+    assert np.abs(u.as_array() - want).max() < 1e-9
 
 
-def test_gr25_L1_frame_is_isometric():
-    Z = gr25_L1_frame(1, 0.8, 0.6, 0.2)
-    assert np.abs(Z.conj().T @ Z - np.eye(2)).max() < 1e-12
+def _random_pattern(shape, profile, rng):
+    """An integer Gelfand-Cetlin pattern of an integer profile, each entry
+    uniform between its interlacing bounds, level n-1 down to level 1."""
+    levels = {shape.ambient: [int(v) for v in profile.values]}
+    for k in range(shape.ambient - 1, 0, -1):
+        above = levels[k + 1]
+        levels[k] = [int(rng.integers(above[i + 1], above[i] + 1)) for i in range(k)]
+    return tuple(levels[k][i - 1] for i, k in index_set(shape, profile))
+
+
+FL4, FL4_WALL = FlagShape((1, 2, 3), 4), EigenProfile((4, 2, 1, -1))
+
+
+@pytest.mark.parametrize("seed, shape, profile", [
+    (0, FL4, FL4_WALL),
+    (1, FL4, EigenProfile((3, 1, 0, -2))),
+    (2, grassmannian_shape(2, 6), EigenProfile((2, 2, 0, 0, 0, 0))),
+    (3, GR36, EigenProfile((2, 2, 2, 0, 0, 0))),
+    (4, FlagShape((1, 3), 4), EigenProfile((3, 1, 1, -1))),
+])
+def test_fiber_point_lands_on_random_patterns(seed, shape, profile):
+    # integer patterns sit on faces of every dimension, with spheres of
+    # every size the profile allows
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        u = _random_pattern(shape, profile, rng)
+        got = gc_map(fiber_point(shape, profile, u, rng), shape, profile)
+        assert np.abs(got.as_array() - u).max() < 1e-12, u
+
+
+def test_fiber_point_on_the_fl4_wall_face():
+    # the middle diamond of Fl(4) collapsed: an S^3 from level 2 to level 3;
+    # u as a numpy array too (np.float64's repr is not a decimal under numpy 2)
+    u = tuple(FL4_WALL_PATTERN[p] for p in index_set(FL4, FL4_WALL))
+    for point in (u, np.array(u)):
+        got = gc_map(fiber_point(FL4, FL4_WALL, point, RNG), FL4, FL4_WALL)
+        assert np.abs(got.as_array() - u).max() < 1e-12
+
+
+FL4_WALL_PATTERN = {(1, 1): 1.5, (1, 2): 1.5, (2, 2): 1.5, (1, 3): 3.0, (2, 3): 1.5,
+                    (3, 3): 0.0}
 
 
 def test_gc_map_rejects_off_orbit():
@@ -354,8 +393,9 @@ def test_gc_map_checks_the_matrix_once(monkeypatch):
         gc_core, "leading_block_defects", lambda m: shapes.append(np.shape(m)) or defects(m)
     )
     monkeypatch.setattr(numerics, "check_hermitian", lambda m: pytest.fail("called"))
-    x = gr25_L1_point(1, 0.8, 0.6, 0.2, 0.3, -1.2)
-    u = gc_map(x, grassmannian_shape(2, 5), EigenProfile((1, 1, 0, 0, 0)))
+    shape, profile = grassmannian_shape(2, 5), EigenProfile((1, 1, 0, 0, 0))
+    x = fiber_point(shape, profile, (0.6, 0.8, 0.2, 0.2, 0.2, 0.2), RNG)
+    u = gc_map(x, shape, profile)
     assert shapes == [(5, 5)]
     assert u.values == tuple(
         float(np.linalg.eigvalsh(x[:k, :k])[::-1][i - 1]) for i, k in u.index
@@ -463,14 +503,24 @@ def test_gc_map_rejects_non_finite_matrices(x):
 
 
 def test_constructor_input_validation():
-    with pytest.raises(ValueError):
-        fl3_s3_point(1, 1, [1.0, 1.0])
-    with pytest.raises(ValueError):
-        gr2n_un_point(2, 1, 1.5, np.eye(2))
-    with pytest.raises(ValueError):
-        gr2n_un_point(2, 1, 0.2, np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        gr25_L1_frame(1, 0.5, 0.7, 0.2)
+    # a point off the polytope or of the wrong length has no fiber point;
+    # the interlacing is decided exactly, so 1e-15 outside is outside
+    gr24, gr24_profile = grassmannian_shape(2, 4), EigenProfile((1, 1, -1, -1))
+    gr25, gr25_profile = grassmannian_shape(2, 5), EigenProfile((1, 1, 0, 0, 0))
+    for shape, profile, u in (
+        (FL3, EigenProfile((1, 0, -1)), (5.0, 0.0, 0.0)),
+        (FL3, EigenProfile((1, 0, -1)), (-0.5, 0.5, 0.0)),  # level 2 ascending
+        (FL3, EigenProfile((1, 0, -1)), (0.5, -0.5, 0.5 + 1e-15)),
+        (gr24, gr24_profile, (1.5,) * 4),
+        (gr25, gr25_profile, (0.7, 0.5, 0.2, 0.2, 0.2, 0.2)),  # s1 < s2
+        (gr25, gr25_profile, (0.5, 0.5, 0.3, 0.4, 0.4, 0.4)),  # level 3 lacks 0.4
+    ):
+        with pytest.raises(ValueError, match="not in the polytope"):
+            fiber_point(shape, profile, u, RNG)
+    with pytest.raises(ValueError, match="entries"):
+        fiber_point(FL3, EigenProfile((1, 0, -1)), (0.0, 0.0), RNG)
+    with pytest.raises(ValueError, match="entries"):
+        fiber_point(FL3, EigenProfile((1, 0, -1)), (0.0,) * 4, RNG)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +550,8 @@ def test_classify_fiber_table():
     # the diamonds of the U(3) fiber of Gr(3,6)
     f = classify_fiber(polytope, GCPoint((1.0,) * 4, polytope.index))
     assert f.kind == "unknown-nonsmooth"
-    shape, profile = grassmannian_shape(3, 6), gr2n_profile(3, 1)
-    u = gc_map(gr2n_un_point(3, 1, 0.3, np.eye(3)), shape, profile)
+    shape, profile = GR36, GR36_PROFILE
+    u = gc_map(fiber_point(shape, profile, (0.3,) * 9, RNG), shape, profile)
     assert detect_diamonds(shape, profile, u) == [(2, 1), (3, 1), (3, 2), (4, 2)]
     every_row = tuple(row for space in SPACES.values() for row in space.strata)
     f = classify_fiber(build_polytope(shape, profile), u, every_row)
@@ -521,8 +571,8 @@ def test_classify_fiber_table():
 
 def test_fiber_structure_beyond_the_registry():
     # the U(3) fiber of Gr(3,6) over (t, ..., t): 9 = dim_C
-    shape, profile = grassmannian_shape(3, 6), gr2n_profile(3, 1)
-    u = gc_map(gr2n_un_point(3, 1, 0.3, np.eye(3)), shape, profile)
+    shape, profile = GR36, GR36_PROFILE
+    u = gc_map(fiber_point(shape, profile, (0.3,) * 9, RNG), shape, profile)
     assert fiber_structure(shape, profile, u) == (5, 3, 1)
     # Gr(2,6) over (t, ..., t): 4 of 8
     shape = grassmannian_shape(2, 6)
@@ -530,10 +580,8 @@ def test_fiber_structure_beyond_the_registry():
     assert fiber_structure(shape, profile, (0.3,) * 8) == (3, 1)
     # Fl(4) at the wall profile, the middle diamond collapsed: an S^3 from
     # level 2 to level 3, then three circles, 6 = dim_C
-    shape, profile = FlagShape((1, 2, 3), 4), EigenProfile((4, 2, 1, -1))
-    pattern = {(1, 1): 1.5, (1, 2): 1.5, (2, 2): 1.5, (1, 3): 3.0, (2, 3): 1.5, (3, 3): 0.0}
-    u = tuple(pattern[p] for p in index_set(shape, profile))
-    assert fiber_structure(shape, profile, u) == (3, 1, 1, 1)
+    u = tuple(FL4_WALL_PATTERN[p] for p in index_set(FL4, FL4_WALL))
+    assert fiber_structure(FL4, FL4_WALL, u) == (3, 1, 1, 1)
 
 
 def test_classify_fiber_unknown_stratum():

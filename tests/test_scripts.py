@@ -65,3 +65,22 @@ def test_every_tracer_target_resolves():
         for part in path.split("."):
             target = getattr(target, part, None)
         assert callable(target), f"{module_name}.{path}"
+
+
+def test_tracer_self_test_counts(monkeypatch):
+    """perfbench/run.py::tracer_self_test requires exactly these call counts
+    before any --trace 1 run: a check 08 that calls gc_map more or less
+    often, or a disk series of another length, would fail every traced run."""
+    from gcfloer import floer, gc_core, verify
+
+    def count_calls(module, name):
+        calls, inner = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or inner(*a, **k))
+        return calls
+
+    calls = count_calls(gc_core, "gc_map")
+    verify.check_geometry(fast=True)
+    assert len(calls) == 105
+    calls = count_calls(floer, "open_gw_integral")
+    floer.open_gw_series(0.3 + 0.2j, K=40)
+    assert len(calls) == 861

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from gcfloer import verify
+from gcfloer.gc_core import build_polytope, classify_fiber
 from gcfloer.spaces import SPACES, UNIT
 
 PARAMS = SimpleNamespace(l1=Fraction(3, 10), l2=Fraction(7, 10), lam=Fraction(3, 2))
@@ -39,5 +40,21 @@ def test_block_maps_convert_parameters_before_arithmetic():
 
 def test_verify_tables_cover_every_space():
     # a space missing from one of these tables would go unchecked there
-    for table in (verify._STARTS, verify._EXPECTED_TERMS, verify._QH_T0):
+    for table in (verify._STARTS, verify._EXPECTED_TERMS, verify._QH_T0,
+                  verify._FIBER_POINTS):
         assert set(table) == set(SPACES)
+
+
+def test_fiber_points_name_every_stratum_row():
+    # classify_fiber names a point by the first row it matches: with rows[:j]
+    # only, the point is unknown for j up to that row's index and named after
+    # it; every row of every space is the first match at one of its points
+    for name, space in SPACES.items():
+        polytope = build_polytope(space.shape, space.profile(UNIT))
+        named = set()
+        for u in verify._FIBER_POINTS[name]:
+            kinds = [classify_fiber(polytope, u, space.strata[:j]).kind
+                     for j in range(len(space.strata) + 1)]
+            named.add(next(j for j, kind in enumerate(kinds)
+                           if kind != "unknown-nonsmooth") - 1)
+        assert named == set(range(len(space.strata))), name
