@@ -3,8 +3,8 @@ cohomology of flag-manifold fibers over the Novikov ring.
 
 Each submodule below is registered in sys.modules on import of the
 package but runs only on first attribute access (importlib's LazyLoader),
-so a command pays only for the layers it uses: the `floer` command loads
-no numpy.
+so a command pays only for the layers it uses: the `polytope`, `potential`
+and `floer` commands load no numpy.
 """
 
 import importlib.util
@@ -22,7 +22,7 @@ def _register_lazily(name):
     return module
 
 
-for _name in ("flags", "floer", "gc_core", "novikov", "numerics", "potential", "qh",
-              "spaces", "verify"):
+for _name in ("flags", "floer", "gc_core", "laurent", "novikov", "numerics", "potential",
+              "qh", "spaces", "verify"):
     globals()[_name] = _register_lazily(_name)
 del _name

@@ -18,7 +18,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import gc_core, numerics, potential, verify
+from . import gc_core, laurent, numerics, potential, verify
 from .novikov import as_fraction, module_presentation
 from .spaces import SPACES
 
@@ -92,7 +92,7 @@ def cmd_polytope(args):
 
 def cmd_potential(args):
     space = SPACES[args.space]
-    po = potential.build_potential(space.shape, space.profile(args))
+    po = laurent.build_potential(space.shape, space.profile(args))
     doc = {
         "space": args.space,
         "variables": [list(p) for p in po.index],

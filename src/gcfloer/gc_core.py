@@ -29,6 +29,10 @@ prod_(delta' != delta)(delta - delta') on delta's eigenspace, in a random
 direction there (a point of the S^(2m-1) of the cluster rule, or 0 where
 it finds a point), and by the corner sum(nu) - sum(mu).  The pattern is
 taken exactly, so no tolerance enters: W_delta < 0 only off the polytope.
+
+Everything but gc_map and fiber_point is pure Python on floats and
+Fractions, so the polytope command runs without numpy; those two import
+it when called, and reach numerics through the package's lazy module.
 """
 
 import functools
@@ -36,11 +40,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from . import numerics
 from .flags import EigenProfile, FlagShape, index_set, is_constant_entry
 from .novikov import as_fraction
-from .numerics import leading_block_defects, require_hermitian
 
 GC_TOL = 1e-8  # gap at which two pattern values, or a point and a facet, count as equal
 
@@ -61,9 +63,6 @@ class GCPoint:
         object.__setattr__(self, "values", values)
         if not all(map(math.isfinite, values)):
             raise ValueError("point values must be finite")
-
-    def as_array(self):
-        return np.array(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +87,19 @@ class GCInequality:
     facet: bool = False
 
     def affine(self, idx):
-        """Return (coeffs, const) with upper - lower = coeffs . u + const."""
-        coeffs = np.zeros(len(idx))
-        const = 0.0
-        for side, sgn in ((self.upper, 1.0), (self.lower, -1.0)):
-            if _side_is_const(side):
+        """Return (terms, const) with upper - lower = sum(sgn * u[pos] for
+        pos, sgn in terms) + const: at most two (position, +-1) terms and a
+        float const.  Raises ValueError for a constant beyond the floats."""
+        terms, const = [], 0.0
+        for side, sgn in ((self.upper, 1), (self.lower, -1)):
+            if not _side_is_const(side):
+                terms.append((idx.index(side), sgn))
+                continue
+            try:
                 const += sgn * float(side)
-            else:
-                coeffs[idx.index(side)] += sgn
-        return coeffs, const
+            except OverflowError:
+                raise ValueError("a profile value exceeds the largest float") from None
+        return tuple(terms), const
 
     def label(self):
         def fmt(side):
@@ -114,17 +117,12 @@ class GCPolytope:
     profile: EigenProfile
     index: tuple  # the index set: (i, k) pairs
     inequalities: tuple
-    # upper - lower = coeffs @ u + consts, one row per inequality, in floats
-    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
-    consts: np.ndarray = field(init=False, repr=False, compare=False)
+    # each inequality's affine form (terms, const), in floats
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = [ineq.affine(self.index) for ineq in self.inequalities]
-        coeffs = np.array([r for r, _ in rows]).reshape(len(rows), len(self.index))
-        consts = np.array([c for _, c in rows])
-        coeffs.flags.writeable = consts.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "consts", consts)
+        rows = tuple(ineq.affine(self.index) for ineq in self.inequalities)
+        object.__setattr__(self, "rows", rows)
 
 
 def _entry_or_const(shape, profile, i, k):
@@ -205,11 +203,13 @@ def contains(polytope, u):
     """Membership test; returns (bool, list of active inequality indices)."""
     if not isinstance(u, GCPoint):
         u = GCPoint(tuple(u), polytope.index)
-    # each row has at most two nonzero entries, both +-1, so every slack is
-    # exact up to one rounding and does not depend on the summation order
-    slack = polytope.coeffs @ u.as_array() + polytope.consts
-    inside = not np.any(slack < -GC_TOL)
-    return inside, np.flatnonzero(np.abs(slack) <= GC_TOL).tolist()
+    # a row has at most two terms, so its slack (+-u_a +- u_b) + const
+    # rounds as a dense row product plus const would: adding zeros is exact
+    values = u.values
+    slack = [sum(sgn * values[pos] for pos, sgn in terms) + const
+             for terms, const in polytope.rows]
+    inside = not any(s < -GC_TOL for s in slack)
+    return inside, [j for j, s in enumerate(slack) if abs(s) <= GC_TOL]
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +296,10 @@ def gc_map(x, shape, profile):
     for all of these Hermitian decisions, and what depends only on (shape,
     profile) is computed once per pair in a small memo.
     """
-    a, defect, scale = leading_block_defects(x)
-    require_hermitian(defect[-1], scale[-1])
+    import numpy as np
+
+    a, defect, scale = numerics.leading_block_defects(x)
+    numerics.require_hermitian(defect[-1], scale[-1])
     spec = np.linalg.eigvalsh(a)[::-1].tolist()
     n = shape.ambient
     if a.shape[0] != n:
@@ -313,7 +315,7 @@ def gc_map(x, shape, profile):
     idx, constants = pattern
     level_eigs = {}
     for k in range(1, n):
-        require_hermitian(defect[k - 1], scale[k - 1])
+        numerics.require_hermitian(defect[k - 1], scale[k - 1])
         level_eigs[k] = np.linalg.eigvalsh(a[:k, :k])[::-1].tolist()
     values = [level_eigs[k][i - 1] for i, k in idx]
     for i, k, want in constants:
@@ -333,6 +335,8 @@ def fiber_point(shape, profile, u, rng):
     """A point x of the orbit with gc_map(x) = u, sampled by bordering as in
     the module docstring; rng is a numpy Generator.  Raises ValueError when
     u has the wrong length or is not in the polytope."""
+    import numpy as np
+
     idx = index_set(shape, profile)
     values = tuple(u)
     if len(values) != len(idx):

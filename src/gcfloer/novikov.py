@@ -18,6 +18,7 @@ needs no numpy, so the floer command runs without it.
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +33,8 @@ def as_fraction(x):
     """Convert x to an exact Fraction.
 
     Floats go through their shortest decimal repr, so as_fraction(0.3) is
-    exactly 3/10.  Strings accept "p/q" and decimal forms.
+    exactly 3/10.  Integers are any numbers.Integral (numpy's int64 too).
+    Strings accept "p/q" and decimal forms.
     """
     if isinstance(x, Fraction):
         return x
@@ -42,6 +44,8 @@ def as_fraction(x):
         return Fraction(float.__repr__(x))
     if isinstance(x, str):
         return Fraction(x)
+    if isinstance(x, numbers.Integral):  # numpy's integers, which are not int
+        return Fraction(int(x))
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 

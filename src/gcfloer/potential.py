@@ -1,12 +1,12 @@
-"""The Landau-Ginzburg potential of Gelfand-Cetlin torus fibers.
+"""Critical points of the Landau-Ginzburg potential of Gelfand-Cetlin torus fibers.
 
-The potential is a Laurent polynomial in the fiber variables
-y_i^{(k)} = e^{x_i^{(k)}} T^{u_i^{(k)}}, one term per facet of the
-Gelfand-Cetlin polytope (upper >= lower becomes y_upper / y_lower, with
-constant entries lambda_{n_j} entering as Q_j = T^{lambda_{n_j}}).
-Critical points are found by multistart Newton iteration in logarithmic
-coordinates, where the Jacobian of the gradient system is the logarithmic
-Hessian of the potential.
+The potential itself, one exact Laurent term per facet, is built by
+laurent.build_potential (re-exported here with LaurentTerm and
+LaurentPoly).  This module is its numeric side: exponent_matrix and
+coeff_vector turn the terms into arrays, and critical points are found by
+multistart Newton iteration in logarithmic coordinates, where the Jacobian
+of the gradient system is the logarithmic Hessian of the potential.  The
+closed-form critical points of Fl(3) and of every Gr(k, n) are here too.
 """
 
 import functools
@@ -20,7 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .flags import EigenProfile, grassmannian_shape, index_set
-from .gc_core import build_polytope, contains
+from .gc_core import contains
+# callers import the exact potential from here too
+from .laurent import LaurentPoly, LaurentTerm, build_potential  # noqa: F401
 from .novikov import as_fraction
 from .numerics import NonConvergenceError
 
@@ -33,66 +35,14 @@ GRID = 2.0**-26  # spacing of the grid in w that polished limit points are round
 VERIFY_T0 = (0.45, 0.55)  # base values at which verify_candidate checks and fits
 
 
-@dataclass(frozen=True)
-class LaurentTerm:
-    coeff: complex
-    t_exp: Fraction
-    y_exp: tuple  # integer exponent vector over the index set
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "t_exp", as_fraction(self.t_exp))
-        object.__setattr__(self, "y_exp", tuple(int(e) for e in self.y_exp))
+def exponent_matrix(po):
+    """The (terms, nvars) matrix of y-exponents, as floats."""
+    return np.array([t.y_exp for t in po.terms], dtype=float)
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    terms: tuple
-    index: tuple  # the index set: (i, k) pairs labelling the variables
-
-    @property
-    def nvars(self):
-        return len(self.index)
-
-    def term_multiset(self):
-        return sorted((t.t_exp, t.y_exp) for t in self.terms)
-
-    def exponent_matrix(self):
-        return np.array([t.y_exp for t in self.terms], dtype=float)
-
-    def coeff_vector(self, T0):
-        return np.array([t.coeff * T0 ** float(t.t_exp) for t in self.terms])
-
-
-def _merge_terms(raw_terms):
-    merged = {}
-    for coeff, t_exp, y_exp in raw_terms:
-        key = (t_exp, y_exp)
-        merged[key] = merged.get(key, 0.0) + coeff
-    return tuple(
-        LaurentTerm(c, t_exp, y_exp)
-        for (t_exp, y_exp), c in sorted(merged.items())
-        if c != 0
-    )
-
-
-def build_potential(shape, profile):
-    """One Laurent term per facet of the Gelfand-Cetlin polytope."""
-    polytope = build_polytope(shape, profile)
-    idx = polytope.index
-    raw = []
-    for ineq in polytope.inequalities:
-        if not ineq.facet:
-            continue
-        t_exp = Fraction(0)
-        y_exp = [0] * len(idx)
-        for side, sgn in ((ineq.upper, 1), (ineq.lower, -1)):
-            if isinstance(side, Fraction):
-                t_exp += sgn * side
-            else:
-                y_exp[idx.index(side)] += sgn
-        raw.append((1.0 + 0.0j, t_exp, tuple(y_exp)))
-    return LaurentPoly(_merge_terms(raw), idx)
+def coeff_vector(po, T0):
+    """The coefficient of each term at T = T0: coeff * T0^t_exp."""
+    return np.array([t.coeff * T0 ** float(t.t_exp) for t in po.terms])
 
 
 def evaluate(po, y, T0):
@@ -135,7 +85,7 @@ def _grad_hess_at_w(E, c, w):
 
 def _grad_hess_at_y(po, y, T0):
     w = np.log(np.asarray(y, dtype=complex))
-    return _grad_hess_at_w(po.exponent_matrix(), po.coeff_vector(T0), w)
+    return _grad_hess_at_w(exponent_matrix(po), coeff_vector(po, T0), w)
 
 
 def gradient_at(po, y, T0):
@@ -304,10 +254,16 @@ def find_critical_points(po, config=SolverConfig()):
     so the result is a function of the set of grid points: every seed that
     finds every critical point returns the same list.  The exception is a
     point within about 1e-15 of the edge of a grid cell, which can round
-    either way.  Raises NonConvergenceError when no start converges to a
-    nondegenerate critical point.
+    either way.  Raises ValueError when a coefficient at T0 is 0 or not
+    finite (T0^t_exp has left the doubles, so Newton would solve another
+    potential), and NonConvergenceError when no start converges to a
+    nondegenerate critical point with finite coordinates.
     """
-    E, c = po.exponent_matrix(), po.coeff_vector(config.T0)
+    E, c = exponent_matrix(po), coeff_vector(po, config.T0)
+    if not (np.isfinite(c).all() and c.all()):
+        raise ValueError(
+            f"a coefficient T0^t_exp of the potential is 0 or not finite at T0 = {config.T0}"
+        )
     w = _newton(E, c, _start_points(po.nvars, config))
     if not len(w):
         raise NonConvergenceError(
@@ -331,9 +287,15 @@ def find_critical_points(po, config=SolverConfig()):
     grad, hess = _grad_hess_at_w(E, c, w)
     det, _ = _normalized_det(hess)
     residual = np.max(np.abs(grad), axis=1)
+    points = np.exp(w)
+    finite = np.isfinite(points).all(axis=1) & np.isfinite(residual) & np.isfinite(det)
+    if not finite.any():
+        raise NonConvergenceError(
+            f"every polished critical point is non-finite (starts={config.starts})"
+        )
     return [
         CriticalCandidate(y=tuple(y), residual=float(r), hessian_det=float(d))
-        for y, r, d in zip(np.exp(w), residual, det)
+        for y, r, d in zip(points[finite], residual[finite], det[finite])
     ]
 
 
@@ -387,20 +349,27 @@ def fl3_critical_points(l1, l2, T0):
     """The six critical points of the Fl(3) potential, numerically at T0.
 
     y3 runs over the cube roots of Q1 Q2 Q3, y2 = +-sqrt(Q3 (y3 + Q2)),
-    y1 = y3^2 / y2, with Q1 = T^{l1}, Q2 = 1, Q3 = T^{-l2}.
+    y1 = y3^2 / y2, with Q1 = T^{l1}, Q2 = 1, Q3 = T^{-l2}.  Raises
+    ValueError when a point overflows the doubles.
     """
-    l1f, l2f = float(l1), float(l2)
-    Q1, Q2, Q3 = T0**l1f, 1.0, T0**-l2f
+    overflow = f"Fl3 critical points overflow the doubles at T0 = {T0}"
+    try:
+        Q1, Q2, Q3 = T0 ** float(l1), 1.0, T0 ** -float(l2)
+    except OverflowError:  # T0^-l2, or l1 or l2 itself, beyond the doubles
+        raise ValueError(overflow) from None
     zeta3 = np.exp(2j * np.pi / 3.0)
     root = (Q1 * Q2 * Q3) ** (1.0 / 3.0)
     points = []
-    for k in range(3):
-        y3 = zeta3**k * root
-        base = np.sqrt(Q3 * (y3 + Q2) + 0j)
-        for sign in (1.0, -1.0):
-            y2 = sign * base
-            y1 = y3**2 / y2
-            points.append(np.array([y1, y2, y3]))
+    with np.errstate(all="ignore"):  # an overflow is caught below
+        for k in range(3):
+            y3 = zeta3**k * root
+            base = np.sqrt(Q3 * (y3 + Q2) + 0j)
+            for sign in (1.0, -1.0):
+                y2 = sign * base
+                y1 = y3**2 / y2
+                points.append(np.array([y1, y2, y3]))
+    if not np.isfinite(points).all():
+        raise ValueError(overflow)
     return points
 
 

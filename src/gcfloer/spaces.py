@@ -71,9 +71,13 @@ class Space:
         return ("q",) if r == 1 else tuple(f"q{j}" for j in range(1, r + 1))
 
     def quantum_parameters(self, profile, T0):
-        """q_j = T0^(lambda_{n_j} - lambda_{n_j + 1}) for each step n_j."""
-        return tuple(T0 ** float(profile.value(n) - profile.value(n + 1))
-                     for n in self.shape.steps)
+        """q_j = T0^(lambda_{n_j} - lambda_{n_j + 1}) for each step n_j;
+        raises ValueError for a gap beyond the largest float."""
+        try:
+            gaps = [float(profile.value(n) - profile.value(n + 1)) for n in self.shape.steps]
+        except OverflowError:
+            raise ValueError("a profile gap exceeds the largest float") from None
+        return tuple(T0**gap for gap in gaps)
 
     def match_c1(self, params, T0, tol):
         """Critical values at T0 against the c1 eigenvalues at the matching q.

@@ -343,7 +343,7 @@ def check_geometry(fast=False):
         for want in points[:1] if fast else points:
             x = gc_core.fiber_point(space.shape, polytope.profile, want, rng)
             u = gc_core.gc_map(x, space.shape, polytope.profile)
-            if np.max(np.abs(u.as_array() - want)) > 1e-8:
+            if np.max(np.abs(np.array(u.values) - want)) > 1e-8:
                 problems.append(f"{name}: sampled point misses u = {want}")
             elif gc_core.classify_fiber(polytope, u, space.strata).kind in (
                     "torus", "unknown-nonsmooth"):

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcfloer import cli, gc_core
 from gcfloer.cli import main, rational
@@ -18,6 +22,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} in the output")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_rational_parsing(capsys):
@@ -101,7 +114,8 @@ def test_cli_import_runs_no_numeric_layer():
     code = (
         "import json, sys, gcfloer.cli; "
         "print(json.dumps(['numpy' in sys.modules, "
-        "[n for n in ('gc_core', 'potential', 'qh', 'numerics', 'floer', 'verify') "
+        "[n for n in ('gc_core', 'laurent', 'potential', 'qh', 'numerics', 'floer', "
+        "'verify') "
         "if type(sys.modules['gcfloer.' + n]).__name__ != '_LazyModule']]))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -113,6 +127,81 @@ def test_potential_terms(capsys):
     code, out, _ = run(capsys, "potential", "Gr25", "--lam", "1")
     assert code == 0
     assert len(json.loads(out)["terms"]) == 9
+
+
+@pytest.mark.parametrize("command", ["polytope", "potential", "match"])
+def test_profile_beyond_the_floats_is_invalid_input(capsys, command):
+    # the block value 2 lam = 2e308 has no float; float() raised OverflowError
+    # and the CLI exited 1 with a traceback
+    code, out, err = run(capsys, command, "Gr24", "--lam", "1e308")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the largest float" in err
+
+
+@pytest.mark.parametrize("flags", [("--l2", "1e300", "--T0", "0.5"), ("--T0", "5e-324")])
+def test_match_fl3_overflow_is_invalid_input(capsys, flags):
+    # T0^-l2 overflowed in fl3_critical_points: exit 1 with a traceback
+    code, out, err = run(capsys, "match", "Fl3", *flags)
+    assert code == 2
+    assert out == ""
+    assert "overflow the doubles" in err
+
+
+def test_critical_underflowing_coefficient_is_invalid_input(capsys):
+    # T0^709 underflows to 0.0 at T0 = 1e-12, so Newton solved another
+    # potential: 79 "points", one with residual 4.6e171, NaN in stdout, exit 0
+    argv = ("critical", "Fl3", "--l2", "709", "--starts", "200", "--seed", "10")
+    code, out, err = run(capsys, *argv, "--T0", "1e-12")
+    assert code == 2
+    assert out == ""
+    assert "0 or not finite" in err
+    # where every coefficient is a double the output stays strict JSON
+    code, out, _ = run(capsys, *argv, "--T0", "1/2")
+    assert code == 0
+    assert strict_json(out)["critical_points"]
+
+
+def _call(argv):
+    """main(argv) with stdout and stderr captured; argparse's exit is a code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_EDGE_VALUES = ("0", "-1", "-1/2", "1", "3/10", "2", "5e-324", "1e308", "-1e308", "nan",
+                "inf", "-inf", "1/0")
+
+
+def test_polytope_and_potential_edge_values(deadline):
+    # exact and float-only paths alike: every input is an answer (exit 0,
+    # strict JSON) or invalid input (exit 2), never a traceback
+    @settings(max_examples=80, deadline=None)
+    @example("polytope", "Gr24", {"--lam": "1e308"}, None)  # once exit 1, OverflowError
+    @example("potential", "Gr24", {"--lam": "1e308"}, None)
+    @given(
+        command=st.sampled_from(["polytope", "potential"]),
+        space=st.sampled_from(sorted(SPACES)),
+        flags=st.dictionaries(st.sampled_from(["--l1", "--l2", "--lam"]),
+                              st.sampled_from(_EDGE_VALUES)),
+        at=st.none() | st.lists(st.sampled_from(_EDGE_VALUES), min_size=3, max_size=6),
+    )
+    def check(command, space, flags, at):
+        argv = [command, space, *(x for item in flags.items() for x in item)]
+        if at is not None and command == "polytope":
+            argv += ["--at", ",".join(at)]
+        code, out, err = _call(argv)
+        assert code in (0, 2), (argv, err)
+        assert "Traceback" not in err
+        if code == 0:
+            strict_json(out)
+
+    with deadline(1.0):
+        check()
 
 
 def test_critical_deterministic_and_verified(capsys):

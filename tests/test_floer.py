@@ -150,14 +150,14 @@ def test_involution_gr24_fixes_lt_and_swaps_levels():
     for _ in range(5):
         x = fiber_point(shape, profile, (lam + t,) * 4, rng)
         z = plucker_of_frame(np.linalg.eigh(x)[1][:, 2:])
-        u = gc_map(_plane_of(z, lam), shape, profile).as_array()
+        u = np.array(gc_map(_plane_of(z, lam), shape, profile).values)
         assert np.abs(u - (lam + t)).max() < 1e-12
         assert projective_equal(z, involution_gr24(t, z, lam))
         # tau_0 carries L_t to L_{-t}, which lies over u = lam - t
         flipped = involution_gr24(0.0, z, lam)
         assert projective_equal(flipped, involution_gr24(-t, flipped, lam))
         assert not projective_equal(flipped, involution_gr24(t, flipped, lam))
-        u = gc_map(_plane_of(flipped, lam), shape, profile).as_array()
+        u = np.array(gc_map(_plane_of(flipped, lam), shape, profile).values)
         assert np.abs(u - (lam - t)).max() < 1e-12
 
 

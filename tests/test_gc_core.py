@@ -209,7 +209,9 @@ def _reference_face_dimension(polytope, u):
     assert inside
     if not active:
         return len(polytope.index)
-    return len(polytope.index) - np.linalg.matrix_rank(polytope.coeffs[active], tol=1e-10)
+    rows = _exact_rows(polytope)
+    dense = np.array([[float(c) for c in rows[j][0]] for j in active])
+    return len(polytope.index) - np.linalg.matrix_rank(dense, tol=1e-10)
 
 
 def test_contains_and_face_dimension():
@@ -235,12 +237,11 @@ def test_contains_and_face_dimension():
 
 def _reference_contains(polytope, u):
     """The per-inequality loop contains replaced: each affine form rebuilt
-    from its Fractions, one slack at a time."""
+    from its Fractions as a dense float row, one slack at a time."""
     vec = np.array(u, dtype=float)
     inside, active = True, []
-    for j, ineq in enumerate(polytope.inequalities):
-        coeffs, const = ineq.affine(polytope.index)
-        slack = float(coeffs @ vec + const)
+    for j, (coeffs, const) in enumerate(_exact_rows(polytope)):
+        slack = float(np.array(coeffs, dtype=float) @ vec + float(const))
         if slack < -gc_core.GC_TOL:
             inside = False
         elif abs(slack) <= gc_core.GC_TOL:
@@ -321,16 +322,16 @@ def test_gc_map_on_fiber_constructors():
     # and the U(2) x T^2 fiber L1 of Gr(2,5) map back onto their patterns
     shape, profile = FL3, EigenProfile((2, 0, -1))
     u = gc_map(fiber_point(shape, profile, (0, 0, 0), RNG), shape, profile)
-    assert np.abs(u.as_array()).max() < 1e-9
+    assert np.abs(np.array(u.values)).max() < 1e-9
 
     shape, profile = grassmannian_shape(2, 4), EigenProfile((1, 1, -1, -1))
     u = gc_map(fiber_point(shape, profile, (-0.4,) * 4, RNG), shape, profile)
-    assert np.abs(u.as_array() + 0.4).max() < 1e-9
+    assert np.abs(np.array(u.values) + 0.4).max() < 1e-9
 
     shape, profile = grassmannian_shape(2, 5), EigenProfile((1, 1, 0, 0, 0))
     want = (0.6, 0.8, 0.2, 0.2, 0.2, 0.2)
     u = gc_map(fiber_point(shape, profile, want, RNG), shape, profile)
-    assert np.abs(u.as_array() - want).max() < 1e-9
+    assert np.abs(np.array(u.values) - want).max() < 1e-9
 
 
 def _random_pattern(shape, profile, rng):
@@ -360,7 +361,7 @@ def test_fiber_point_lands_on_random_patterns(seed, shape, profile):
     for _ in range(60):
         u = _random_pattern(shape, profile, rng)
         got = gc_map(fiber_point(shape, profile, u, rng), shape, profile)
-        assert np.abs(got.as_array() - u).max() < 1e-12, u
+        assert np.abs(np.array(got.values) - u).max() < 1e-12, u
 
 
 def test_fiber_point_on_the_fl4_wall_face():
@@ -369,7 +370,17 @@ def test_fiber_point_on_the_fl4_wall_face():
     u = tuple(FL4_WALL_PATTERN[p] for p in index_set(FL4, FL4_WALL))
     for point in (u, np.array(u)):
         got = gc_map(fiber_point(FL4, FL4_WALL, point, RNG), FL4, FL4_WALL)
-        assert np.abs(got.as_array() - u).max() < 1e-12
+        assert np.abs(np.array(got.values) - u).max() < 1e-12
+
+
+def test_fiber_point_takes_an_integer_array():
+    # the S^3 fiber of Fl(3) over an int64 pattern: as_fraction raised TypeError
+    space = SPACES["Fl3"]
+    profile = space.profile(UNIT)
+    x = fiber_point(space.shape, profile, np.array([0, 0, 0]), RNG)
+    got = gc_map(x, space.shape, profile)
+    assert np.abs(np.array(got.values)).max() < 1e-12
+    assert classify_fiber(build_polytope(space.shape, profile), got, space.strata).kind == "S3"
 
 
 FL4_WALL_PATTERN = {(1, 1): 1.5, (1, 2): 1.5, (2, 2): 1.5, (1, 3): 3.0, (2, 3): 1.5,
@@ -390,7 +401,7 @@ def test_gc_map_checks_the_matrix_once(monkeypatch):
     shapes = []
     defects = numerics.leading_block_defects
     monkeypatch.setattr(
-        gc_core, "leading_block_defects", lambda m: shapes.append(np.shape(m)) or defects(m)
+        numerics, "leading_block_defects", lambda m: shapes.append(np.shape(m)) or defects(m)
     )
     monkeypatch.setattr(numerics, "check_hermitian", lambda m: pytest.fail("called"))
     shape, profile = grassmannian_shape(2, 5), EigenProfile((1, 1, 0, 0, 0))

@@ -87,6 +87,21 @@ def test_cold_floer_runs_without_numpy(name):
     assert not [m for m in imported if m.split(".")[0] == "numpy"]
 
 
+@pytest.mark.parametrize(
+    "name", ["polytope_outside_exit2", "readme_polytope_gr24", "readme_potential_gr25"])
+def test_cold_polytope_and_potential_run_without_numpy(name):
+    # facets, fiber types and potential terms are exact or decided on floats
+    # alone; a cold call must not pay for importing numpy
+    proc, imported = cold_imports(CASES[name])
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    stderr = "".join(line for line in proc.stderr.splitlines(keepends=True)
+                     if not line.startswith("import time:"))
+    assert (proc.returncode, proc.stdout, stderr) == (
+        expected["exit"], expected["stdout"], expected["stderr"])
+    assert "gcfloer" in imported
+    assert not [m for m in imported if m.split(".")[0] == "numpy"]
+
+
 def test_cold_critical_runs_without_numpy_random():
     # the Newton starts come from the stdlib random module, which numpy
     # loads anyway; numpy.random would add about 5 MB to the peak RSS of a

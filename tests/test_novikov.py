@@ -2,6 +2,7 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,14 @@ def test_as_fraction_is_exact():
     assert as_fraction(5) == Fraction(5)
     with pytest.raises(TypeError):
         as_fraction(object())
+
+
+def test_as_fraction_takes_every_integral():
+    # np.int64 is no int subclass, so it once raised TypeError
+    for x in (np.int64(3), np.int8(3), np.uint64(3)):
+        got = as_fraction(x)
+        assert (type(got), got) == (Fraction, Fraction(3))
+    assert as_fraction(np.int64(-2**62)) == Fraction(-2**62)
 
 
 def test_series_normalization_and_valuation():

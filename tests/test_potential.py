@@ -16,7 +16,9 @@ from gcfloer.numerics import NonConvergenceError
 from gcfloer.potential import (
     SolverConfig,
     build_potential,
+    coeff_vector,
     evaluate,
+    exponent_matrix,
     find_critical_points,
     fl3_critical_candidates,
     fl3_critical_points,
@@ -100,6 +102,40 @@ def test_all_degenerate_limits_raise_non_convergence(monkeypatch):
         find_critical_points(fl3_potential(), SolverConfig(starts=50))
 
 
+def test_coefficient_beyond_the_doubles_is_invalid_input():
+    # T0^709 underflows to 0.0 at T0 = 1e-12: Newton would solve a potential
+    # without that term
+    po = build_potential(FL3, EigenProfile((1, 0, -709)))
+    assert 0 in coeff_vector(po, 1e-12)
+    with pytest.raises(ValueError, match="0 or not finite"):
+        find_critical_points(po, SolverConfig(T0=1e-12, starts=20))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_polished_points_are_dropped(monkeypatch):
+    # a row polished out of the doubles is no critical point: the others
+    # come back as they do alone, and with none left the solver raises
+    po, cfg = fl3_potential(), SolverConfig(starts=120)
+    want = find_critical_points(po, cfg)
+    polish = potential._polish
+
+    def with_far_row(E, c, w):
+        return np.concatenate((polish(E, c, w), [[800.0 + 0j] * w.shape[1]]))
+
+    monkeypatch.setattr(potential, "_polish", with_far_row)
+    assert find_critical_points(po, cfg) == want
+    monkeypatch.setattr(potential, "_polish", lambda E, c, w: np.full(w.shape, 800.0 + 0j))
+    with pytest.raises(NonConvergenceError, match="non-finite"):
+        find_critical_points(po, cfg)
+
+
+def test_fl3_critical_points_overflow_is_invalid_input():
+    # T0^-l2 overflowed with an OverflowError; 2^1000 (y3 + 1) overflows in numpy
+    for l2, T0 in ((Fraction(10**300), 0.5), (1, 5e-324), (1000, 0.5)):
+        with pytest.raises(ValueError, match="overflow the doubles"):
+            fl3_critical_points(1, l2, T0)
+
+
 def test_solver_config_rejects_negative_seed():
     # random.Random takes any seed; the solver takes non-negative integers
     with pytest.raises(ValueError, match="expected non-negative integer"):
@@ -114,8 +150,8 @@ def test_solver_config_rejects_negative_seed():
 
 
 def _reference_grad_hess(po, w, T0):
-    E = po.exponent_matrix()
-    c = po.coeff_vector(T0)
+    E = exponent_matrix(po)
+    c = coeff_vector(po, T0)
     vals = c * np.exp(w @ E.T)
     return vals @ E, np.einsum("...t,tj,tl->...jl", vals, E, E)
 
@@ -179,7 +215,7 @@ def _matches_reference(po, config):
     polished as the solver polishes them, to 1e-12; and the reference's
     count of singular stops."""
     want, singular = _reference_find_critical_points(po, config)
-    E, c = po.exponent_matrix(), po.coeff_vector(config.T0)
+    E, c = exponent_matrix(po), coeff_vector(po, config.T0)
     got = [p.y for p in find_critical_points(po, config)]
     return _same_points(got, np.exp(potential._polish(E, c, want)), 1e-12), singular
 
@@ -263,7 +299,7 @@ def test_batched_exponents_equal_per_row_products():
     # every exponent is one subtraction, so the two real products give each
     # row the bytes of its own complex product w_i @ E.T, signed zeros too
     rng = np.random.default_rng(13)
-    matrices = [build_potential(s.shape, s.profile(UNIT)).exponent_matrix() for s in SPACES.values()]
+    matrices = [exponent_matrix(build_potential(s.shape, s.profile(UNIT))) for s in SPACES.values()]
     matrices += [_pair_rows(rng, rng.integers(1, 12), n) for n in (1, 3, 6) for _ in range(5)]
     for E in matrices:
         for w in _exponent_batches(E, rng):
@@ -280,7 +316,7 @@ def _hessian_exponent_matrices():
         (FlagShape((1, 3), 4), (2, 1, 0)),
     ):
         pots.append(build_potential(shape, EigenProfile.from_blocks(shape, blocks)))
-    return [po.exponent_matrix() for po in pots]
+    return [exponent_matrix(po) for po in pots]
 
 
 def test_hessian_products_equal_einsum():
@@ -315,7 +351,7 @@ def test_overflowing_start_stops_without_raising():
     # the start's step is not finite and it stops, while the start iterated
     # with it converges as it does alone
     po = fl3_potential()
-    E, c = po.exponent_matrix(), po.coeff_vector(0.5)
+    E, c = exponent_matrix(po), coeff_vector(po, 0.5)
     good = potential._start_points(3, SolverConfig(T0=0.5, starts=1))
     far = np.array([[400.0, -400.0, 400.0]], dtype=complex)
     got = potential._newton(E, c, np.concatenate((far, good)))
