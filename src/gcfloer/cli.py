@@ -168,8 +168,9 @@ def cmd_qh(args):
     for flag in ("q", "q1", "q2"):
         if flag not in space.q_flags and getattr(args, flag) is not None:
             raise ValueError(f"{args.space} takes {own}, not --{flag}")
-    q = (getattr(args, f) for f in space.q_flags)
-    eigs = space.c1_eigenvalues(tuple(1.0 if v is None else float(v) for v in q))
+    q = tuple(Fraction(1) if v is None else v for v in (getattr(args, f) for f in space.q_flags))
+    space.check_c1_finite(q)
+    eigs = space.c1_eigenvalues(tuple(float(v) for v in q))
     doc = {
         "space": args.space,
         "eigenvalues": [_complex_pair(v) for v in eigs],

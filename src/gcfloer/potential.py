@@ -4,11 +4,22 @@ The potential itself, one exact Laurent term per facet, is built by
 laurent.build_potential (re-exported here with LaurentTerm and
 LaurentPoly).  This module is its numeric side: exponent_matrix and
 coeff_vector turn the terms into arrays, and critical points are found by
-multistart Newton iteration in logarithmic coordinates, where the Jacobian
-of the gradient system is the logarithmic Hessian of the potential.  The
-closed-form critical points of Fl(3) and of every Gr(k, n) are here too.
+a coefficient-parameter homotopy (Morgan-Sommese, Appl. Math. Comput.
+1989) in logarithmic coordinates w = log y, where the Jacobian of the
+gradient system is the logarithmic Hessian of the potential.
+
+The homotopy has three steps.  A potential with the same terms and generic
+coefficients a has exactly as many critical points as the normalized
+volume of its Newton polytope (Kouchnirenko, Invent. Math. 1976);
+multistart Newton finds that many, which certifies the start set.  Each
+is tracked to the target coefficients c(T0) along
+log c(s) = (1 - s) log a + s log c(T0).  The paths that finish give every
+isolated critical point of the target; the others escape to infinity,
+toward the critical points the torus chart misses.  The closed-form
+critical points of Fl(3) and of every Gr(k, n) are here too.
 """
 
+import cmath
 import functools
 import itertools
 import math
@@ -33,6 +44,18 @@ DEGENERATE_DET = 1e-10  # a Hessian is degenerate if its row-normalized |det| <=
 POLISH_STEPS = 6  # plain Newton steps of each polish of a deduped limit point
 GRID = 2.0**-26  # spacing of the grid in w that polished limit points are rounded to
 VERIFY_T0 = (0.45, 0.55)  # base values at which verify_candidate checks and fits
+
+DRAW_SPREAD = 0.5  # generic coefficients have log-moduli uniform in [-DRAW_SPREAD, DRAW_SPREAD]
+START_BOX = 1.0  # start-solve Newton starts have log-moduli uniform in [-START_BOX, START_BOX]
+STARTS_PER_ROOT = 5  # a chunk of the start solve holds this many starts per root of the volume
+FIRST_STEP = 0.1  # the first step of each path, in t = -log(1 - s)
+MAX_STEP = 2.0  # an easy step doubles the next one, up to MAX_STEP
+MIN_STEP = 1e-4  # a path whose step halves below MIN_STEP stalls
+CORRECTOR_TOL = 0.1  # a step is kept when its first corrector moves w by less than this (max norm)
+CONTRACTION = 0.5  # and its second by at most this fraction of the first, plus NEWTON_TOL
+EASY_STEP = 0.01  # a kept step is easy when its first corrector moved w by less than this
+S_CUTOFF = 0.9999  # paths are tracked to s = S_CUTOFF and finished at s = 1 from there
+FINISH_STEPS = 6  # plain Newton steps at s = 1 that finish a path
 
 
 def exponent_matrix(po):
@@ -63,24 +86,28 @@ def _exponents(w, E):
     return z
 
 
-def _grad_hess_at_w(E, c, w):
-    """Gradient and logarithmic Hessian at w (y = exp(w)) of sum_t c_t e^(E_t . w);
-    w may be a batch of shape (..., nvars).
+def _hessian(E, vals):
+    """sum_t vals_t E_tj E_tl for term values vals of shape (..., terms).
 
-    The Hessian sum_t vals_t E_tj E_tl is two real matrix products, of the
-    real and imaginary parts of vals with E (x) E flattened to
-    (terms, nvars^2), written into views of one complex array.  Each term
-    is exact, since E's entries are 0 and +-1.  A non-finite value makes
-    every entry of its Hessian non-finite.
+    It is two real matrix products, of the real and imaginary parts of vals
+    with E (x) E flattened to (terms, nvars^2), written into views of one
+    complex array.  Each term is exact, since E's entries are 0 and +-1.  A
+    non-finite value makes every entry of its Hessian non-finite.
     """
-    vals = c * np.exp(_exponents(w, E))  # (..., terms)
     terms, n = E.shape
     EE = (E[:, :, None] * E[:, None, :]).reshape(terms, n * n)
     hess = np.empty(vals.shape[:-1] + (n, n), dtype=complex)
     flat = vals.shape[:-1] + (n * n,)
     np.matmul(vals.real, EE, out=hess.real.reshape(flat))
     np.matmul(vals.imag, EE, out=hess.imag.reshape(flat))
-    return vals @ E, hess
+    return hess
+
+
+def _grad_hess_at_w(E, c, w):
+    """Gradient and logarithmic Hessian at w (y = exp(w)) of sum_t c_t e^(E_t . w);
+    w may be a batch of shape (..., nvars), and c one row per point."""
+    vals = c * np.exp(_exponents(w, E))  # (..., terms)
+    return vals @ E, _hessian(E, vals)
 
 
 def _grad_hess_at_y(po, y, T0):
@@ -224,58 +251,203 @@ def _polish(E, c, w):
     return w
 
 
-def _start_points(n, config):
-    """The (starts, n) Newton starts w: log-moduli uniform in [3 log T0,
-    -3 log T0], arguments uniform in [-pi, pi].  The starts take 2n doubles
-    u each, in turn, from one random.Random(seed) stream; the first half
-    scales to the log-moduli and the second half to the arguments, as
-    low + (high - low) u.
-
-    The draws decide which critical points are found, not their digits
-    (see find_critical_points), except for a point within about 1e-15 of
-    the edge of a grid cell: it can round either way."""
-    rng = random.Random(config.seed)
-    u = np.array([rng.random() for _ in range(config.starts * 2 * n)]).reshape(-1, 2 * n)
-    lo = 3.0 * math.log(config.T0)
-    w = np.empty((config.starts, n), dtype=complex)
-    w.real = lo + (-lo - lo) * u[:, :n]
+def _start_points(rng, count, n):
+    """(count, n) Newton starts w: log-moduli uniform in [-START_BOX,
+    START_BOX], arguments uniform in [-pi, pi].  The starts take 2n doubles
+    u each, in turn, from rng; the first half scales to the log-moduli and
+    the second half to the arguments, as low + (high - low) u."""
+    u = np.array([rng.random() for _ in range(count * 2 * n)]).reshape(-1, 2 * n)
+    w = np.empty((count, n), dtype=complex)
+    w.real = -START_BOX + (START_BOX - -START_BOX) * u[:, :n]
     w.imag = -np.pi + (np.pi - -np.pi) * u[:, n:]
     return w
 
 
-def find_critical_points(po, config=SolverConfig()):
-    """Deduplicated Newton limit points of the log-gradient system.
+def _int_normal(rows):
+    """A normal of the hyperplane that n - 1 integer vectors span in Z^n:
+    their signed maximal minors, up to one common sign, so that
+    det(rows + [x]) = +-normal . x; zeros when they are dependent.
+    Fraction-free elimination leaves the minor of the pivot columns as the
+    last pivot, and back substitution from it divides exactly, since every
+    entry of the normal is such a minor."""
+    m, n, pivots, prev = [list(r) for r in rows], len(rows) + 1, [], 1
+    for col in range(n):
+        r = len(pivots)
+        swap = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if swap is None:
+            continue
+        m[r], m[swap] = m[swap], m[r]
+        for i in range(r + 1, len(m)):
+            m[i] = [(x * m[r][col] - m[i][col] * y) // prev for x, y in zip(m[i], m[r])]
+        prev = m[r][col]
+        pivots.append(col)
+    if len(pivots) < len(m):
+        return [0] * n
+    normal = [0] * n
+    normal[next(c for c in range(n) if c not in pivots)] = prev
+    for row, p in reversed(list(zip(m, pivots))):
+        normal[p] = -sum(row[j] * normal[j] for j in range(p + 1, n)) // row[p]
+    return normal
 
-    Starts are drawn by _start_points, in log-coordinates, and iterated
-    together as one (starts, nvars) array.  Each limit point that the dedupe
+
+@functools.cache
+def newton_volume(exps):
+    """n! vol of the convex hull of the integer points exps (a tuple of
+    n-tuples), exactly; 0 unless they span R^n.
+
+    A pulling triangulation.  The facets are the point sets on the
+    hyperplanes through n points with every point on one side.  The facets
+    of a face G are the largest of the sets G & F over the facets F that do
+    not contain G, and G is the union of the cones from its least point
+    over the facets of G that miss that point.
+    """
+    n = len(exps[0])
+    facets = set()
+    for sub in itertools.combinations(range(len(exps)), n):
+        base = exps[sub[0]]
+        rows = [[x - b for x, b in zip(exps[j], base)] for j in sub[1:]]
+        normal = _int_normal(rows)
+        side = [sum(a * (x - b) for a, x, b in zip(normal, p, base)) for p in exps]
+        if any(normal) and (min(side) >= 0 or max(side) <= 0):
+            facets.add(frozenset(i for i, v in enumerate(side) if v == 0))
+
+    def simplices(face, dim):
+        if len(face) == dim + 1:
+            return [sorted(face)]
+        apex = min(face)
+        cuts = {face & f for f in facets if not face <= f}
+        return [[apex] + simplex for k in cuts
+                if apex not in k and not any(k < other for other in cuts)
+                for simplex in simplices(k, dim - 1)]
+
+    total = 0
+    for simplex in simplices(frozenset(range(len(exps))), n) if facets else ():
+        *rows, last = [[x - b for x, b in zip(exps[i], exps[simplex[0]])] for i in simplex[1:]]
+        total += abs(sum(a * x for a, x in zip(_int_normal(rows), last)))
+    return total
+
+
+def _generic_coefficients(rng, terms):
+    """One coefficient per term: the modulus e^u, u uniform in
+    [-DRAW_SPREAD, DRAW_SPREAD], then the argument, uniform in [-pi, pi]."""
+    return np.array([
+        cmath.rect(math.exp(rng.uniform(-DRAW_SPREAD, DRAW_SPREAD)), rng.uniform(-math.pi, math.pi))
+        for _ in range(terms)
+    ])
+
+
+def _start_solve(E, volume, config):
+    """The start system: generic coefficients a and its `volume` critical points w.
+
+    a comes first from random.Random(config.seed), then chunks of
+    STARTS_PER_ROOT * volume Newton starts from the same stream.  Each
+    chunk's nondegenerate limits join the deduplicated set, until it holds
+    `volume` points.  Raises NonConvergenceError when config.starts starts
+    are spent first.
+    """
+    rng = random.Random(config.seed)
+    a = _generic_coefficients(rng, len(E))
+    found = np.empty((0, E.shape[1]), dtype=complex)
+    drawn = degenerate = 0
+    with np.errstate(all="ignore"):  # a start that overflows stops (see _newton)
+        while len(found) < volume and drawn < config.starts:
+            count = min(STARTS_PER_ROOT * volume, config.starts - drawn)
+            drawn += count
+            w = _newton(E, a, _start_points(rng, count, E.shape[1]))
+            if len(w):
+                _, singular = _normalized_det(_grad_hess_at_w(E, a, w)[1])
+                degenerate += int(singular.sum())
+                found = np.concatenate((found, _canonical_w(w[~singular])))
+                found = found[_representatives(found)]
+    if len(found) != volume:
+        raise NonConvergenceError(
+            f"the start solve found {len(found)} of the {volume} critical points of its "
+            f"generic potential (starts={config.starts}, seed={config.seed}; "
+            f"{degenerate} Newton limits had a degenerate Hessian)"
+        )
+    return a, found
+
+
+def _velocity(E, log_a, d, w, t):
+    """dw/dt on the path grad W_c (w) = 0, log c = log_a + s d, s = 1 - e^-t:
+    minus (ds/dt) H^-1 times the s-derivative of the gradient,
+    sum_k d_k v_k E_k with v_k = c_k e^(E_k . w).  One exp gives H and it."""
+    decay = np.exp(-t)[:, None]  # ds/dt = 1 - s
+    vals = np.exp(_exponents(w, E) + log_a + (1.0 - decay) * d)
+    return _solve_steps(_hessian(E, vals), (vals * d) @ E)[0] * decay
+
+
+def _newton_step(E, log_c, w):
+    vals = np.exp(_exponents(w, E) + log_c)
+    return _solve_steps(_hessian(E, vals), vals @ E)[0]
+
+
+def _track(E, log_a, d, w):
+    """Track each row of w from s = 0 to S_CUTOFF, on its own path
+    log c(s) = log_a + s d (one row of log_a and d per row of w).
+
+    The steps are taken in t = -log(1 - s), in which a path that escapes to
+    infinity grows about linearly.  A step is an RK4 predictor and two
+    Newton correctors at the new t.  It is kept when the correctors
+    contract (CORRECTOR_TOL, CONTRACTION); an easy kept step doubles the
+    next, up to MAX_STEP, and a step not kept is retried at half the size.
+    Returns w, and the mask of the rows that reached S_CUTOFF: the others
+    stalled below MIN_STEP.
+    """
+    t_end = -math.log1p(-S_CUTOFF)
+    t, step = np.zeros(len(w)), np.full(len(w), FIRST_STEP)
+    live = np.ones(len(w), bool)
+    w = w.copy()
+    with np.errstate(all="ignore"):  # a non-finite step fails its test
+        while live.any():
+            i = np.flatnonzero(live)
+            x, t0, la, di = w[i], t[i], log_a[i], d[i]
+            t1 = np.minimum(t0 + step[i], t_end)
+            h = (t1 - t0)[:, None]
+            k1 = _velocity(E, la, di, x, t0)
+            k2 = _velocity(E, la, di, x + h / 2 * k1, t0 + h[:, 0] / 2)
+            k3 = _velocity(E, la, di, x + h / 2 * k2, t0 + h[:, 0] / 2)
+            k4 = _velocity(E, la, di, x + h * k3, t1)
+            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            log_c = la - np.expm1(-t1)[:, None] * di
+            d1 = _newton_step(E, log_c, x)
+            d2 = _newton_step(E, log_c, x + d1)
+            n1, n2 = np.max(np.abs(d1), axis=1), np.max(np.abs(d2), axis=1)
+            kept = (n1 < CORRECTOR_TOL) & (n2 <= CONTRACTION * n1 + NEWTON_TOL)
+            w[i[kept]], t[i[kept]] = (x + d1 + d2)[kept], t1[kept]
+            step[i] = np.where(kept, np.where(n1 < EASY_STEP, 2.0, 1.0), 0.5) * step[i]
+            np.minimum(step, MAX_STEP, out=step)
+            live &= (t < t_end) & (step >= MIN_STEP)
+    return w, t >= t_end
+
+
+def _finish(E, c, w):
+    """w after FINISH_STEPS plain Newton steps at s = 1 (one row of c per
+    row of w), and the mask of the finite rows with max |grad| < NEWTON_TOL."""
+    with np.errstate(all="ignore"):  # escaping rows overflow
+        for _ in range(FINISH_STEPS):
+            grad, hess = _grad_hess_at_w(E, c, w)
+            w = w + _solve_steps(hess, grad)[0]
+        residual = np.max(np.abs(_grad_hess_at_w(E, c, w)[0]), axis=1)
+    return w, (residual < NEWTON_TOL) & np.isfinite(w).all(axis=1)
+
+
+def _critical_candidates(E, c, w, config):
+    """The finished endpoints w as a sorted CriticalCandidate list.
+
+    Endpoints with a degenerate Hessian are dropped.  Each one the dedupe
     keeps is polished, its canonical w rounded to the grid GRID, and
     polished again from there; the points are sorted by their grid points.
     A grid cell is far inside the Newton basin of a simple critical point,
-    so the result is a function of the set of grid points: every seed that
-    finds every critical point returns the same list.  The exception is a
-    point within about 1e-15 of the edge of a grid cell, which can round
-    either way.  Raises ValueError when a coefficient at T0 is 0 or not
-    finite (T0^t_exp has left the doubles, so Newton would solve another
-    potential), and NonConvergenceError when no start converges to a
-    nondegenerate critical point with finite coordinates.
+    so the result is a function of the set of grid points.  The exception
+    is a point within about 1e-15 of the edge of a grid cell, which can
+    round either way.
     """
-    E, c = exponent_matrix(po), coeff_vector(po, config.T0)
-    if not (np.isfinite(c).all() and c.all()):
-        raise ValueError(
-            f"a coefficient T0^t_exp of the potential is 0 or not finite at T0 = {config.T0}"
-        )
-    w = _newton(E, c, _start_points(po.nvars, config))
-    if not len(w):
-        raise NonConvergenceError(
-            f"no Newton start converged (starts={config.starts}, "
-            f"max_iters={MAX_ITERS})"
-        )
-
     _, degenerate = _normalized_det(_grad_hess_at_w(E, c, w)[1])
     if degenerate.all():
         raise NonConvergenceError(
-            f"every converged Newton start has a degenerate Hessian "
-            f"(starts={config.starts}, converged={len(w)})"
+            f"every finished path has a degenerate Hessian "
+            f"(starts={config.starts}, finished={len(w)})"
         )
     w = _canonical_w(w[~degenerate])
     w = _canonical_w(_polish(E, c, w[_representatives(w)]))
@@ -293,10 +465,81 @@ def find_critical_points(po, config=SolverConfig()):
         raise NonConvergenceError(
             f"every polished critical point is non-finite (starts={config.starts})"
         )
-    return [
+    return tuple(
         CriticalCandidate(y=tuple(y), residual=float(r), hessian_det=float(d))
         for y, r, d in zip(points[finite], residual[finite], det[finite])
-    ]
+    )
+
+
+@dataclass(frozen=True)
+class HomotopyResult:
+    """One target of track_critical_points.  points are its critical points,
+    as find_critical_points returns them; escaped holds w at s = S_CUTOFF
+    of each path that reached the cutoff and did not finish.  The result is
+    certified when len(points) + len(escaped) equals volume, the number of
+    paths: no path stalled, and no two finished at one point."""
+
+    points: tuple
+    escaped: np.ndarray
+    volume: int
+
+
+def track_critical_points(po, configs):
+    """The critical points of po at each config's T0, by the homotopy.
+
+    Configs with one seed and one starts budget share a start solve (see
+    _start_solve), and every path to every target is tracked in one array.
+    Each path that reaches S_CUTOFF is finished by FINISH_STEPS Newton steps
+    at s = 1; the finished endpoints go through _critical_candidates.
+    Returns one HomotopyResult per config, in order.  Raises ValueError
+    when a coefficient at some T0 is 0 or not finite (T0^t_exp has left the
+    doubles, so the path would end at another potential), and
+    NonConvergenceError when the start solve falls short of the volume or a
+    target keeps no finite, nondegenerate critical point.
+    """
+    E = exponent_matrix(po)
+    targets = [coeff_vector(po, config.T0) for config in configs]
+    for config, c in zip(configs, targets):
+        if not (np.isfinite(c).all() and c.all()):
+            raise ValueError(
+                f"a coefficient T0^t_exp of the potential is 0 or not finite at T0 = {config.T0}"
+            )
+    volume = newton_volume(tuple(t.y_exp for t in po.terms))
+    solves = {}
+    for config in configs:
+        if (config.seed, config.starts) not in solves:
+            solves[config.seed, config.starts] = _start_solve(E, volume, config)
+    starts = [solves[config.seed, config.starts] for config in configs]
+    log_a = np.repeat([np.log(a) for a, _ in starts], volume, axis=0)
+    c = np.repeat(targets, volume, axis=0)
+    cut, reached = _track(E, log_a, np.log(c) - log_a, np.concatenate([w0 for _, w0 in starts]))
+    w, finished = _finish(E, c, cut)
+    finished &= reached
+
+    results = []
+    for k, (config, target) in enumerate(zip(configs, targets)):
+        rows = slice(k * volume, (k + 1) * volume)
+        if not finished[rows].any():
+            raise NonConvergenceError(
+                f"no path of the homotopy finished (starts={config.starts}, paths={volume}, "
+                f"stalled={int((~reached[rows]).sum())})"
+            )
+        results.append(HomotopyResult(
+            _critical_candidates(E, target, w[rows][finished[rows]], config),
+            cut[rows][reached[rows] & ~finished[rows]], volume))
+    return results
+
+
+def find_critical_points(po, config=SolverConfig()):
+    """The critical points of po at config.T0, by track_critical_points.
+
+    config.seed draws the generic coefficients and the start solve's Newton
+    starts, and config.starts is the start solve's budget.  They decide
+    which critical points are found, not their digits: every seed that
+    finds every critical point returns the same list (see
+    _critical_candidates).
+    """
+    return list(track_critical_points(po, [config])[0].points)
 
 
 def verify_candidate(po, cand, polytope=None):

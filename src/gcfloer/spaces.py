@@ -8,6 +8,8 @@ namespace, or UNIT); a differential may read more (Gr24: t, x_re, x_im, pair).
 Importing this module runs only flags and novikov: floer loads no numpy.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
@@ -72,12 +74,31 @@ class Space:
 
     def quantum_parameters(self, profile, T0):
         """q_j = T0^(lambda_{n_j} - lambda_{n_j + 1}) for each step n_j;
-        raises ValueError for a gap beyond the largest float."""
+        raises ValueError for a gap beyond the largest float, and for a q_j
+        that underflows to 0 or a subnormal: every critical value and c1
+        eigenvalue would then be 0 or nearly so, and a match vacuous."""
         try:
             gaps = [float(profile.value(n) - profile.value(n + 1)) for n in self.shape.steps]
         except OverflowError:
             raise ValueError("a profile gap exceeds the largest float") from None
-        return tuple(T0**gap for gap in gaps)
+        q = tuple(T0**gap for gap in gaps)
+        if not all(abs(v) >= sys.float_info.min for v in q):
+            raise ValueError(
+                f"a quantum parameter T0^gap is 0 or subnormal at T0 = {T0} (gaps {gaps})")
+        return q
+
+    def check_c1_finite(self, q):
+        """Raise ValueError, naming the flags of the q_j beyond 1, when an
+        entry of c1 at the exact parameters q exceeds the largest float."""
+        entries = {}
+        for degrees, mat in qh.c1_matrix(self.shape).coeffs.items():
+            scale = math.prod(v**d for v, d in zip(q, degrees))
+            for r, row in enumerate(mat.tolist()):
+                for c, m in enumerate(row):
+                    entries[r, c] = entries.get((r, c), 0) + m * scale
+        if max(map(abs, entries.values())) > sys.float_info.max:
+            big = ", ".join(f"--{f}" for f, v in zip(self.q_flags, q) if abs(v) > 1)
+            raise ValueError(f"{big} too large: an entry of c1 exceeds the largest float")
 
     def match_c1(self, params, T0, tol):
         """Critical values at T0 against the c1 eigenvalues at the matching q.

@@ -11,6 +11,7 @@ check-id order.  fast=True trades sampling density for speed (for the CLI);
 the default settings are the ones the test suite pins.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,14 +84,17 @@ _EXPECTED_TERMS = {
 }
 
 
-def _unit_potential(space):
+@functools.cache
+def _unit_potential(name):
+    """The potential of SPACES[name] at UNIT, built once per process."""
+    space = SPACES[name]
     return potential.build_potential(space.shape, space.profile(UNIT))
 
 
 def check_potential_structure(fast=False):
     bad = []
     for space, expected in _EXPECTED_TERMS.items():
-        po = _unit_potential(SPACES[space])
+        po = _unit_potential(space)
         got = po.term_multiset()
         if got != expected:
             bad.append(f"{space}: got {got}")
@@ -111,30 +115,35 @@ _STARTS = {"Fl3": 300, "Gr24": 300, "Gr25": 900}
 
 
 def check_critical_counts(fast=False):
+    """Check 02: at each (T0, seed) the homotopy is certified (finished plus
+    escaping paths equal the normalized volume) and its points match the
+    closed forms one to one.  Each seed's start solve serves both T0."""
     T0s = (0.5,) if fast else (0.5, 0.6)
     seeds = (0,) if fast else (0, 1, 2)
     details = []
     ok = True
     for space, budget in _STARTS.items():
-        po = _unit_potential(SPACES[space])
+        po = _unit_potential(space)
         closed = SPACES[space].candidates(UNIT)
         starts = budget // (3 if fast else 1)
-        counts = set()
-        unmatched = []
-        for T0 in T0s:
-            z = np.array([c.numeric_at(T0) for c in closed])
-            for seed in seeds:
-                cfg = potential.SolverConfig(T0=T0, starts=starts, seed=seed)
-                y = np.array([c.y for c in potential.find_critical_points(po, cfg)])
-                counts.add(len(y))
-                # near[i, j]: solver point i within DEDUPE_TOL (1 + max |y_i|) of closed form j
-                scale = potential.DEDUPE_TOL * (1.0 + np.max(np.abs(y), axis=1))
-                near = np.max(np.abs(y[:, None, :] - z), axis=2) < scale[:, None]
-                if np.any(near.sum(axis=0) != 1) or np.any(near.sum(axis=1) != 1):
-                    unmatched.append((T0, seed))
-        ok = ok and counts == {len(closed)} and not unmatched
-        details.append(f"{space}: counts {sorted(counts)} (want {len(closed)})"
-                       + (f", no bijection at (T0, seed) {unmatched}" if unmatched else ""))
+        configs = [potential.SolverConfig(T0=T0, starts=starts, seed=seed)
+                   for seed in seeds for T0 in T0s]
+        counts, unmatched = set(), []
+        for cfg, res in zip(configs, potential.track_critical_points(po, configs)):
+            counts.add((len(res.points), len(res.escaped), res.volume))
+            y = np.array([c.y for c in res.points])
+            z = np.array([c.numeric_at(cfg.T0) for c in closed])
+            # near[i, j]: solver point i within DEDUPE_TOL (1 + max |y_i|) of closed form j
+            scale = potential.DEDUPE_TOL * (1.0 + np.max(np.abs(y), axis=1))
+            near = np.max(np.abs(y[:, None, :] - z), axis=2) < scale[:, None]
+            if np.any(near.sum(axis=0) != 1) or np.any(near.sum(axis=1) != 1):
+                unmatched.append((cfg.T0, cfg.seed))
+        certified = all(f + e == v for f, e, v in counts)
+        ok = ok and certified and not unmatched
+        details.append(f"{space}: " + ", ".join(
+            f"{f} finite + {e} escaping {'=' if f + e == v else '!='} {v}"
+            for f, e, v in sorted(counts))
+            + (f", no bijection at (T0, seed) {unmatched}" if unmatched else ""))
     return _result("02-critical-counts", ok, "; ".join(details))
 
 
@@ -148,7 +157,7 @@ _EXPECTED_VALUATIONS = {"Gr24": (Fraction(1), Fraction(3, 2), Fraction(1, 2), Fr
 def check_closed_forms(fast=False):
     problems = []
     for name, space in SPACES.items():
-        po = _unit_potential(space)
+        po = _unit_potential(name)
         want = _EXPECTED_VALUATIONS.get(name)
         for cand in space.candidates(UNIT):
             rep = potential.verify_candidate(po, cand)
@@ -183,7 +192,7 @@ def check_critical_values(fast=False):
     problems = []
     for name, want in _EXPECTED_VALUE_EXPONENTS.items():
         space = SPACES[name]
-        po = _unit_potential(space)
+        po = _unit_potential(name)
         cands = space.candidates(UNIT)
         for T0 in (0.5, 0.6):
             got = [potential.evaluate(po, c.numeric_at(T0), T0) for c in cands]

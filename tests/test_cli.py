@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -204,6 +205,49 @@ def test_polytope_and_potential_edge_values(deadline):
         check()
 
 
+# the flags each solver command takes a value for, besides its space
+_SOLVER_FLAGS = {
+    "critical": ("--l1", "--l2", "--lam", "--T0"),
+    "match": ("--l1", "--l2", "--lam", "--T0"),
+    "qh": ("--q", "--q1", "--q2"),
+    "floer": ("--l1", "--l2", "--lam", "--t", "--x-re", "--x-im"),
+}
+
+
+def test_solver_commands_at_edge_values(deadline):
+    # the homotopy at hostile T0 and lambda, qh at hostile q, match and
+    # floer: every input is an answer (exit 0, strict JSON), invalid input
+    # (exit 2) or non-convergence (exit 3), never a traceback
+    @settings(max_examples=80, deadline=None)
+    @example("critical", "Fl3", {"--T0": "5e-324"}, "40")
+    @example("match", "Gr25", {"--lam": "1e308"}, None)  # once exit 0 on zeros
+    @example("match", "Gr24", {"--lam": "400", "--T0": "1/100"}, None)
+    @example("qh", "Gr24", {"--q": "1e308"}, None)  # once numpy's message
+    @given(
+        command=st.sampled_from(sorted(_SOLVER_FLAGS)),
+        space=st.sampled_from(sorted(SPACES)),
+        flags=st.dictionaries(st.sampled_from(sorted({f for v in _SOLVER_FLAGS.values() for f in v})),
+                              st.sampled_from(_EDGE_VALUES)),
+        extra=st.sampled_from([None, "1", "40", "--pair", "--ring=Lambda"]),
+    )
+    def check(command, space, flags, extra):
+        argv = [command, space]
+        argv += [x for flag, value in flags.items() if flag in _SOLVER_FLAGS[command]
+                 for x in (flag, value)]
+        if command == "critical" and extra in ("1", "40"):
+            argv += ["--starts", extra]
+        elif command == "floer" and extra in ("--pair", "--ring=Lambda"):
+            argv.append(extra)
+        code, out, err = _call(argv)
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        if code == 0:
+            strict_json(out)
+
+    with deadline(1.5):
+        check()
+
+
 def test_critical_deterministic_and_verified(capsys):
     args = ("critical", "Fl3", "--l1", "1", "--l2", "1", "--T0", "1/2",
             "--seed", "0", "--starts", "150", "--verify-known")
@@ -218,10 +262,19 @@ def test_critical_deterministic_and_verified(capsys):
 
 
 def test_critical_without_converged_start_exits_3(capsys):
+    # one start cannot find the 8 critical points of the generic potential
     code, out, err = run(capsys, "critical", "Fl3", "--starts", "1", "--seed", "10")
     assert code == 3
     assert out == ""
-    assert "no Newton start converged" in err
+    assert "the start solve found 1 of the 8 critical points" in err
+
+
+def test_start_budget_below_the_volume_exits_3(capsys):
+    # Gr25's generic potential has 20 critical points: 10 starts are too few
+    code, out, err = run(capsys, "critical", "Gr25", "--starts", "10")
+    assert code == 3
+    assert out == ""
+    assert "of the 20 critical points" in err
 
 
 def test_critical_with_only_degenerate_limits_exits_3(capsys, monkeypatch):
@@ -337,6 +390,41 @@ def test_match_c1_checks_the_profile_itself():
     space = dataclasses.replace(SPACES["Gr24"], critical_values=lambda p, T0: [0j] * 4)
     with pytest.raises(ValueError, match="drop strictly at step 2"):
         space.match_c1(SimpleNamespace(lam=0), 0.5, 1e-7)
+
+
+@pytest.mark.parametrize("flags", [
+    ("Gr25", "--lam", "1e308"),  # every value was 0
+    ("Gr25", "--lam", "800", "--T0", "1/100"),  # the largest |value| was 8.1e-320
+    ("Gr24", "--lam", "400", "--T0", "1/100"),
+])
+def test_match_rejects_an_underflowing_q(capsys, flags):
+    # q = T0^gap below the normal floats made every critical value and c1
+    # eigenvalue 0 or subnormal, and exit 0 with "matched": true
+    code, out, err = run(capsys, "match", *flags)
+    assert code == 2
+    assert out == ""
+    assert "0 or subnormal" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("Gr24", "--q", "1e308"), "--q too large"),
+    (("Fl3", "--q1", "1e308", "--q2", "1"), "--q1 too large"),
+    (("Fl3", "--q1", "1e200", "--q2", "1e200"), "--q1, --q2 too large"),  # q1 q2 overflows
+    (("Gr24", "--q", "1" + "0" * 400), "--q too large"),  # once exit 1, OverflowError
+])
+def test_qh_rejects_a_q_that_overflows_c1(capsys, argv, named):
+    # c1's entries overflowed to inf: numpy's "Array must not contain infs
+    # or NaNs" after a RuntimeWarning, which now raises here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "qh", *argv)
+    assert code == 2
+    assert out == ""
+    assert named in err and "exceeds the largest float" in err
+    # just below the overflow c1 is finite and so are its eigenvalues
+    code, out, _ = run(capsys, "qh", "Gr24", "--q", "4e307")
+    assert code == 0
+    assert strict_json(out)["eigenvalues"]
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])

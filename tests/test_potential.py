@@ -24,6 +24,8 @@ from gcfloer.potential import (
     fl3_critical_points,
     gradient_at,
     hessian_nondegenerate,
+    newton_volume,
+    track_critical_points,
     verify_candidate,
 )
 from gcfloer.spaces import SPACES, UNIT
@@ -146,33 +148,28 @@ def test_solver_config_rejects_negative_seed():
 
 # ---------------------------------------------------------------------------
 # the per-start Newton loop the batched solver replaced, kept as the
-# reference for which points the solver finds
+# reference for which points the start solve finds
 
 
-def _reference_grad_hess(po, w, T0):
-    E = exponent_matrix(po)
-    c = coeff_vector(po, T0)
+def _reference_grad_hess(E, c, w):
     vals = c * np.exp(w @ E.T)
     return vals @ E, np.einsum("...t,tj,tl->...jl", vals, E, E)
 
 
-def _reference_find_critical_points(po, config):
-    """The deduplicated limit points w, and the number of starts stopped by
-    a singular Hessian."""
-    T0 = config.T0
+def _reference_limits(E, c, starts):
+    """The deduplicated nondegenerate Newton limits w of the starts, one
+    start at a time."""
     converged = []
-    singular = 0
-    for w in potential._start_points(po.nvars, config):
+    for w in starts:
         ok = False
         for _ in range(potential.MAX_ITERS):
-            grad, hess = _reference_grad_hess(po, w, T0)
+            grad, hess = _reference_grad_hess(E, c, w)
             if np.max(np.abs(grad)) < potential.NEWTON_TOL:
                 ok = True
                 break
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
-                singular += 1
                 break
             norm = np.linalg.norm(step)
             if not np.isfinite(norm):
@@ -182,7 +179,7 @@ def _reference_find_critical_points(po, config):
             w = w + step
         if not ok:
             continue
-        _, hess = _reference_grad_hess(po, w, T0)
+        _, hess = _reference_grad_hess(E, c, w)
         row_norms = np.max(np.abs(hess), axis=1)
         if np.any(row_norms == 0):
             continue
@@ -207,17 +204,23 @@ def _reference_find_critical_points(po, config):
                 break
         if not dup:
             reps.append(w)
-    return np.array(reps).reshape(len(reps), po.nvars), singular
+    return np.array(reps).reshape(len(reps), E.shape[1])
 
 
 def _matches_reference(po, config):
-    """Whether the solver's points are the reference's limit points, each
-    polished as the solver polishes them, to 1e-12; and the reference's
-    count of singular stops."""
-    want, singular = _reference_find_critical_points(po, config)
-    E, c = exponent_matrix(po), coeff_vector(po, config.T0)
-    got = [p.y for p in find_critical_points(po, config)]
-    return _same_points(got, np.exp(potential._polish(E, c, want)), 1e-12), singular
+    """Whether the start solve's points are the reference's limit points of
+    every config.starts start, each polished at the generic coefficients,
+    to 1e-12; the start solve stops once it holds the volume."""
+    E = exponent_matrix(po)
+    volume = potential.newton_volume(tuple(t.y_exp for t in po.terms))
+    a, found = potential._start_solve(E, volume, config)
+    rng = random.Random(config.seed)
+    assert potential._generic_coefficients(rng, len(E)).tobytes() == a.tobytes()
+    with np.errstate(all="ignore"):
+        want = _reference_limits(E, a, potential._start_points(rng, config.starts, po.nvars))
+    polish = potential._polish
+    return len(found) == volume and _same_points(
+        np.exp(polish(E, a, found)), np.exp(polish(E, a, want)), 1e-12)
 
 
 def _reference_representatives(w):
@@ -352,7 +355,7 @@ def test_overflowing_start_stops_without_raising():
     # with it converges as it does alone
     po = fl3_potential()
     E, c = exponent_matrix(po), coeff_vector(po, 0.5)
-    good = potential._start_points(3, SolverConfig(T0=0.5, starts=1))
+    good = potential._start_points(random.Random(0), 1, 3)
     far = np.array([[400.0, -400.0, 400.0]], dtype=complex)
     got = potential._newton(E, c, np.concatenate((far, good)))
     want = potential._newton(E, c, good.copy())
@@ -413,45 +416,129 @@ def test_singular_mask_matches_per_matrix_solve():
 
 @pytest.mark.parametrize("n", [3, 4, 6, 9])
 def test_start_points_are_one_random_stream(n):
-    # each start takes the next 2n draws of one random.Random(seed)
-    for T0, seed in ((0.5, 0), (0.6, 1), (0.37, 12345)):
-        cfg = SolverConfig(T0=T0, starts=200, seed=seed)
-        lo = 3.0 * math.log(T0)
+    # the generic coefficients take 2 draws per term, then each start takes
+    # the next 2n draws of the same random.Random(seed)
+    box = potential.START_BOX
+    for terms, seed in ((6, 0), (9, 1), (12, 12345)):
         rng = random.Random(seed)
+        want_a = []
+        for _ in range(terms):
+            modulus = math.exp(rng.uniform(-potential.DRAW_SPREAD, potential.DRAW_SPREAD))
+            want_a.append(modulus * complex(math.cos(arg := rng.uniform(-math.pi, math.pi)),
+                                            math.sin(arg)))
         want = []
-        for _ in range(cfg.starts):
-            re = [rng.uniform(lo, -lo) for _ in range(n)]
+        for _ in range(200):
+            re = [rng.uniform(-box, box) for _ in range(n)]
             im = [rng.uniform(-math.pi, math.pi) for _ in range(n)]
             want.append([complex(a, b) for a, b in zip(re, im)])
-        assert potential._start_points(n, cfg).tobytes() == np.array(want).tobytes()
+        rng = random.Random(seed)
+        a = potential._generic_coefficients(rng, terms)
+        assert np.abs(a - np.array(want_a)).max() < 1e-15
+        assert potential._start_points(rng, 200, n).tobytes() == np.array(want).tobytes()
 
 
 def test_find_critical_points_deterministic():
-    # two seeds give one list, polished to rounding level, and the points
-    # the per-start reference finds
+    # two seeds give one list, polished to rounding level, at the closed forms
     po = fl3_potential()
-    cfg = SolverConfig(T0=0.5, starts=120, seed=0)
-    a = find_critical_points(po, cfg)
+    a = find_critical_points(po, SolverConfig(T0=0.5, starts=120, seed=0))
     assert len(a) == 6
     assert a == find_critical_points(po, SolverConfig(T0=0.5, starts=120, seed=1))
-    assert _matches_reference(po, cfg)[0]
+    assert _same_points([c.y for c in a], fl3_critical_points(1, 1, 0.5), 1e-12)
     assert all(c.residual < 1e-13 for c in a)
 
 
 @pytest.mark.parametrize("name", ["Fl3", "Gr24", "Gr25"])
 def test_batched_solver_matches_per_start_reference(name):
+    # the start solve runs _newton on chunks of starts at the generic
+    # coefficients, and keeps what the per-start loop keeps
     space = SPACES[name]
     po = build_potential(space.shape, space.profile(UNIT))
-    singular = 0
-    for T0 in (0.5, 0.6):
-        for seed in (0, 1):
-            same, hits = _matches_reference(po, SolverConfig(T0=T0, starts=120, seed=seed))
-            assert same
-            singular += hits
-    if name == "Gr24":
-        # some Gr24 starts meet an exactly singular Hessian, which makes the
-        # stacked solve raise for every start iterated with them
-        assert singular > 0
+    for seed in (0, 1):
+        assert _matches_reference(po, SolverConfig(starts=300, seed=seed))
+
+
+# ---------------------------------------------------------------------------
+# the homotopy: Newton polytope volumes, the certificate, shared start solves
+
+
+def _support(shape, blocks):
+    po = build_potential(shape, EigenProfile.from_blocks(shape, blocks))
+    return tuple(t.y_exp for t in po.terms)
+
+
+def test_newton_volume_small_cases():
+    assert newton_volume(((1,), (2,))) == 1  # y + y^2: one critical point
+    assert newton_volume(((-1,), (1,))) == 2  # y + 1/y: two
+    assert newton_volume(((1, 0), (0, 1))) == 0  # not full-dimensional
+    assert newton_volume(((0, 0), (1, 0), (0, 1), (1, 1))) == 2
+    # the least point, pulled first, lies inside the triangle
+    assert newton_volume(((0, 0), (-1, -1), (1, -1), (0, 1))) == 4
+
+
+@pytest.mark.parametrize("shape, blocks, volume", [
+    (FlagShape((1, 2, 3), 4), (3, 2, 1, 0), 64),
+    (grassmannian_shape(2, 6), (1, 0), 48),
+    (grassmannian_shape(3, 6), (1, 0), 96),
+])
+def test_newton_volume_beyond_the_registry(shape, blocks, volume):
+    # Fl(4), Gr(2,6) and Gr(3,6)
+    assert newton_volume(_support(shape, blocks)) == volume
+
+
+def test_newton_volume_matches_convex_hull():
+    spatial = pytest.importorskip("scipy.spatial")
+    supports = [_support(s.shape, s.blocks(UNIT)) for s in SPACES.values()]
+    supports.append(_support(FlagShape((1, 3), 4), (2, 1, 0)))
+    rng = random.Random(3)
+    for n in (2, 3, 4):
+        for _ in range(10):
+            simplex = [tuple(int(i == j) for j in range(n)) for i in range(-1, n)]
+            extra = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+            supports.append(tuple(dict.fromkeys(extra + simplex)))
+    for exps in supports:
+        hull = spatial.ConvexHull(np.array(exps, dtype=float))
+        assert newton_volume(exps) == round(hull.volume * math.factorial(len(exps[0])))
+
+
+_ESCAPING = {"Fl3": 2, "Gr24": 4, "Gr25": 10}
+
+
+@pytest.mark.parametrize("name", sorted(_ESCAPING))
+def test_homotopy_is_certified(name):
+    # every path finishes at its own point or escapes; the escaping ones are
+    # the critical points the torus chart misses
+    space = SPACES[name]
+    po = build_potential(space.shape, space.profile(UNIT))
+    configs = [SolverConfig(T0=T0, starts=900) for T0 in (0.5, 0.6)]
+    for res in track_critical_points(po, configs):
+        assert len(res.points) == len(space.candidates(UNIT))
+        assert len(res.escaped) == _ESCAPING[name]
+        assert len(res.points) + len(res.escaped) == res.volume
+
+
+def test_targets_share_one_start_solve(monkeypatch):
+    calls, solve = [], potential._start_solve
+    monkeypatch.setattr(potential, "_start_solve",
+                        lambda E, volume, config: calls.append(config.seed) or solve(E, volume, config))
+    po = fl3_potential()
+    configs = [SolverConfig(T0=T0, starts=200, seed=seed) for seed in (0, 1) for T0 in (0.5, 0.6)]
+    results = track_critical_points(po, configs)
+    assert calls == [0, 1]
+    for config, res in zip(configs, results):
+        assert list(res.points) == find_critical_points(po, config)
+
+
+def test_start_budget_below_the_volume_raises():
+    with pytest.raises(NonConvergenceError, match="found .* of the 20 critical points"):
+        find_critical_points(gr25_potential(), SolverConfig(starts=10))
+
+
+@pytest.mark.parametrize("T0", [0.01, 1e-4])
+def test_paths_reach_small_base_values(T0):
+    # the coefficients move log-linearly, so T0^t_exp far below 1 is no
+    # harder to reach than T0 = 1/2
+    got = find_critical_points(fl3_potential(), SolverConfig(T0=T0, starts=400))
+    assert _same_points([c.y for c in got], fl3_critical_points(1, 1, T0), 1e-10)
 
 
 def test_solver_recovers_closed_forms():

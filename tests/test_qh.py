@@ -143,7 +143,8 @@ def test_c1_eigenvalues_match_critical_values_beyond_the_registry(steps, blocks,
     profile = EigenProfile.from_blocks(shape, blocks)
     T0 = 0.5
     po = potential.build_potential(shape, profile)
-    points = potential.find_critical_points(po, potential.SolverConfig(T0=T0, starts=600))
+    # starts budgets the start solve: 25 per point of the generic Fl(4) potential (64)
+    points = potential.find_critical_points(po, potential.SolverConfig(T0=T0, starts=1600))
     values = [potential.evaluate(po, c.numeric_at(T0), T0) for c in points]
     q = [T0 ** float(profile.value(s) - profile.value(s + 1)) for s in steps]
     eigs = complex_eigenvalues(c1_matrix(shape).at(*q))
