@@ -4,7 +4,9 @@ cohomology of flag-manifold fibers over the Novikov ring.
 Each submodule below is registered in sys.modules on import of the
 package but runs only on first attribute access (importlib's LazyLoader),
 so a command pays only for the layers it uses: the `polytope`, `potential`
-and `floer` commands load no numpy.
+and `floer` commands load no numpy.  Neither does importing `floer` for the
+Floer differentials and the disk-count integrals; its disks, disk areas and
+involutions do.
 """
 
 import importlib.util

@@ -287,7 +287,9 @@ def build_parser():
     p = sub.add_parser("match", help="critical values vs c1 eigenvalues")
     _add_space_args(p)
     p.add_argument("--T0", type=rational, default=Fraction(1, 2))
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=1e-7,
+                   help="pair distance bound, times min(1, M) for M the largest "
+                        "modulus of a critical value or eigenvalue (default 1e-7)")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("floer", help="Floer differential and HF decomposition")

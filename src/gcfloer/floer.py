@@ -10,14 +10,20 @@ cross-validate their coefficients.  Each disk-count integral is x^(k+l)
 times an exact number c(k, l), which an integration-by-parts recurrence
 gives in decimal arithmetic of 100 digits or more; the table of c is built
 on first use and cached, and no quadrature is involved.
+
+Importing this module, the differentials, the disk-count integrals and
+displacement_energy_bound load no numpy.  numpy is imported inside the
+functions that build arrays: the disk maps (DiskMapFl3, DiskMapGr,
+fl3_disk, gr_disk), the disk areas (disk_area through _cayley_poly,
+_gauss_legendre and _fs_area_disk), the involutions (involution_fl3,
+involution_gr24), plucker_of_frame and projective_equal.
 """
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .novikov import m1_fl3, m1b_gr24  # noqa: F401  (callers import them from floer)
 
@@ -58,6 +64,8 @@ class DiskMapFl3:
         return DiskClass("beta2", self.l2)
 
     def evaluate(self, z):
+        import numpy as np
+
         a1, a2 = self.a
         r = np.sqrt(self.l1 / self.l2)
         p = np.array([self.c * z + a1, a2, r * (self.c * z + 1.0)])
@@ -72,12 +80,16 @@ class DiskMapFl3:
 
     def plucker_residual(self, z):
         """Incidence relation Z1 Z23 + Z2 Z31 + Z3 Z12 along the curve."""
+        import numpy as np
+
         p, q = self.evaluate(z)
         return abs(np.dot(p, q))
 
     def projective_polys(self):
         """Weighted homogeneous coordinate polynomials in z (coeff lists,
         ascending degree) for the two projective factors."""
+        import numpy as np
+
         a1, a2 = self.a
         r = np.sqrt(self.l1 / self.l2)
         p = [[a1, self.c], [a2, 0.0], [r, r * self.c]]
@@ -91,6 +103,8 @@ class DiskMapFl3:
 
 def fl3_disk(a, sign, l1=1.0, l2=1.0):
     """Disk through the S^3 fiber with boundary data a in S^3, a1 != 1."""
+    import numpy as np
+
     a = np.asarray(a, dtype=complex)
     if a.shape != (2,) or abs(np.linalg.norm(a) - 1.0) > 1e-10:
         raise ValueError("a must be a unit vector in C^2")
@@ -128,6 +142,8 @@ class DiskMapGr:
         return DiskClass("beta2", self.lam - self.t)
 
     def evaluate(self, z):
+        import numpy as np
+
         a = np.array(self.a)[:, None]
         aa = a @ a.conj().T
         return self.scale * (
@@ -135,11 +151,15 @@ class DiskMapGr:
         )
 
     def A_matrix(self):
+        import numpy as np
+
         a = np.array(self.a)[:, None]
         aa = a @ a.conj().T
         return np.eye(self.n) + (self.c**2 / abs(self.c) ** 2 - 1.0) * aa
 
     def unitarity_defect(self, x):
+        import numpy as np
+
         u = self.evaluate(x) / self.scale
         return np.abs(u.conj().T @ u - np.eye(self.n)).max()
 
@@ -147,6 +167,8 @@ class DiskMapGr:
         """The coprime factorization (P(z), Q(z)) with F = Q P^{-1}:
         P = (z - cbar) I, Q = scale (z I - cbar A); returned as coefficient
         arrays of shape (n, n, 2) ascending in z."""
+        import numpy as np
+
         cb = np.conj(self.c)
         A = self.A_matrix()
         P = np.zeros((self.n, self.n, 2), dtype=complex)
@@ -160,6 +182,8 @@ class DiskMapGr:
     def plucker_polys(self):
         """For n = 2: the six Plucker coordinates of the stacked 4x2 curve
         [P; Q], each a quadratic polynomial in z (coeff lists)."""
+        import numpy as np
+
         if self.n != 2:
             raise ValueError("Plucker coordinates implemented for n = 2 only")
         P, Q = self.pq_polys()
@@ -184,6 +208,8 @@ class DiskMapGr:
 
     def winding_number(self):
         """Winding of det(F(x)/scale) = (x - c)/(x - cbar) along R + {inf}."""
+        import numpy as np
+
         phis = np.linspace(-np.pi, np.pi, WINDING_SAMPLES, endpoint=False)
         xs = np.tan(phis / 2.0)
         vals = (xs - self.c) / (xs - np.conj(self.c))
@@ -193,6 +219,8 @@ class DiskMapGr:
 
 
 def gr_disk(n, a, c, lam, t):
+    import numpy as np
+
     a = np.asarray(a, dtype=complex)
     if a.shape != (n,) or abs(np.linalg.norm(a) - 1.0) > 1e-10:
         raise ValueError("a must be a unit vector in C^n")
@@ -214,6 +242,8 @@ def gr_disk(n, a, c, lam, t):
 def _cayley_poly(coeffs):
     """Given p(z) = sum c_k z^k, return the coefficients of
     (1 - zeta)^D p(i (1 + zeta)/(1 - zeta)), a polynomial in zeta."""
+    import numpy as np
+
     D = len(coeffs) - 1
     out = np.zeros(D + 1, dtype=complex)
     up = np.array([1.0, 1.0]) * 1j  # i (1 + zeta)
@@ -228,10 +258,24 @@ def _cayley_poly(coeffs):
     return out
 
 
+@functools.cache
+def _gauss_legendre(order):
+    """The (nodes, weights) of numpy's order-point Gauss-Legendre rule on
+    [-1, 1], computed once per order; read-only, since every caller shares
+    them."""
+    import numpy as np
+
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
 def _fs_area_disk(zeta_polys, order=64):
     """(1/pi) integral over the unit disk of the Fubini-Study density of the
     projective curve zeta -> [p_0(zeta) : ... : p_m(zeta)]."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    import numpy as np
+
+    xg, wg = _gauss_legendre(order)
     r = 0.5 * (xg + 1.0)
     wr = 0.5 * wg
     th = np.pi * (xg + 1.0)
@@ -266,6 +310,8 @@ def disk_area(disk, order=64):
 
 def involution_fl3(point, l1, l2):
     """Anti-holomorphic involution on P^2 x P^2 fixing the S^3 fiber."""
+    import numpy as np
+
     p, q = point
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
@@ -277,6 +323,8 @@ def involution_fl3(point, l1, l2):
 
 def involution_gr24(t, point, lam):
     """Anti-holomorphic involution on P^5 fixing the U(2) fiber L_t."""
+    import numpy as np
+
     z = np.asarray(point, dtype=complex)
     lam, t = float(lam), float(t)
     r = (lam + t) / (lam - t)
@@ -286,6 +334,8 @@ def involution_gr24(t, point, lam):
 
 def plucker_of_frame(Z):
     """Plucker coordinates (12, 13, 14, 23, 24, 34) of a 4x2 frame."""
+    import numpy as np
+
     Z = np.asarray(Z, dtype=complex)
     order = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     return np.array(
@@ -294,6 +344,8 @@ def plucker_of_frame(Z):
 
 
 def projective_equal(p, q):
+    import numpy as np
+
     p = np.asarray(p, dtype=complex).ravel()
     q = np.asarray(q, dtype=complex).ravel()
     i = int(np.argmax(np.abs(p)))

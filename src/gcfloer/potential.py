@@ -423,13 +423,20 @@ def _track(E, log_a, d, w):
 
 def _finish(E, c, w):
     """w after FINISH_STEPS plain Newton steps at s = 1 (one row of c per
-    row of w), and the mask of the finite rows with max |grad| < NEWTON_TOL."""
+    row of w), and the mask of the finite rows that finished.
+
+    A row finished when max |grad| < NEWTON_TOL max_k sum_t |v_t E_tk|,
+    relative to the size of the gradient's terms v_t E_tk: at a tiny T0
+    every term of an escaping path lies far below an absolute NEWTON_TOL.
+    """
     with np.errstate(all="ignore"):  # escaping rows overflow
         for _ in range(FINISH_STEPS):
             grad, hess = _grad_hess_at_w(E, c, w)
             w = w + _solve_steps(hess, grad)[0]
-        residual = np.max(np.abs(_grad_hess_at_w(E, c, w)[0]), axis=1)
-    return w, (residual < NEWTON_TOL) & np.isfinite(w).all(axis=1)
+        vals = c * np.exp(_exponents(w, E))
+        residual = np.max(np.abs(vals @ E), axis=1)
+        scale = np.max(np.abs(vals) @ np.abs(E), axis=1)
+    return w, (residual < NEWTON_TOL * scale) & np.isfinite(w).all(axis=1)
 
 
 def _critical_candidates(E, c, w, config):

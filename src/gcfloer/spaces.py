@@ -103,15 +103,19 @@ class Space:
     def match_c1(self, params, T0, tol):
         """Critical values at T0 against the c1 eigenvalues at the matching q.
 
-        Returns (values, eigenvalues, matched, pairing), the last two as
-        from qh.multiset_match.
+        The multisets are compared at tol min(1, M), M the largest modulus
+        across both: once every value lies below tol, an absolute tol would
+        pair anything with anything.  Where M = 0 (every value an exact
+        zero) the comparison is at tol.  Returns (values, eigenvalues,
+        matched, pairing), the last two as from qh.multiset_match.
         """
         profile = self.profile(params)
         profile.validate(self.shape)
         values = self.critical_values(params, T0)
         eigs = self.c1_eigenvalues(self.quantum_parameters(profile, T0))
+        scale = min(1.0, max(map(abs, [*values, *eigs]), default=0.0)) or 1.0
         matched, pairing = qh.multiset_match(
-            values, eigs, tol, allow_zero_padding=self.pad_zeros
+            values, eigs, tol * scale, allow_zero_padding=self.pad_zeros
         )
         return values, eigs, matched, pairing
 

@@ -13,6 +13,7 @@ the default settings are the ones the test suite pins.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -482,36 +483,39 @@ def _rimhook_sigma1(k, n):
     return basis, classical, quantum
 
 
+@functools.cache
+def _signed_permutations(size):
+    """(sign, permutation) for each permutation of range(size), in
+    itertools.permutations order; the sign (-1.0)^inversions."""
+    signed = []
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(1 for a in range(size) for b in range(a + 1, size) if perm[a] > perm[b])
+        signed.append(((-1.0) ** inversions, perm))
+    return tuple(signed)
+
+
 def _monomial_oracle(rows, cols, entries, truncation=Fraction(10)):
     """Invariant-factor valuations via determinantal divisors: d_r is the
     minimum valuation over all r x r minors (Leibniz expansion over exact
-    exponent dictionaries); e_r = d_r - d_{r-1}."""
+    exponent dictionaries); e_r = d_r - d_{r-1}.  Exponents are summed as
+    integers over the common denominator of the entries' exponents."""
+    den = math.lcm(*(e.denominator for _, e in entries.values()))
+    scaled = {ij: (c, int(e * den)) for ij, (c, e) in entries.items()}
+    cut = truncation * den
 
     def minor_valuation(rsel, csel):
         acc = {}
-        size = len(rsel)
-        for perm in itertools.permutations(range(size)):
-            # permutation sign by counting inversions
-            inv = sum(
-                1
-                for a in range(size)
-                for b in range(a + 1, size)
-                if perm[a] > perm[b]
-            )
-            coeff = (-1.0) ** inv
-            exp = Fraction(0)
-            ok = True
-            for a in range(size):
-                c, e = entries[(rsel[a], csel[perm[a]])]
+        for coeff, perm in _signed_permutations(len(rsel)):
+            exp = 0
+            for r, p in zip(rsel, perm):
+                c, e = scaled[r, csel[p]]
                 if c == 0:
-                    ok = False
                     break
                 coeff *= c
                 exp += e
-            if not ok:
-                continue
-            acc[exp] = acc.get(exp, 0.0) + coeff
-        vals = [e for e, c in acc.items() if abs(c) > 1e-9 and e < truncation]
+            else:
+                acc[exp] = acc.get(exp, 0.0) + coeff
+        vals = [e for e, c in acc.items() if abs(c) > 1e-9 and e < cut]
         return min(vals) if vals else None
 
     divisors = []
@@ -524,7 +528,7 @@ def _monomial_oracle(rows, cols, entries, truncation=Fraction(10)):
                     best = v
         if best is None:
             break
-        divisors.append(best)
+        divisors.append(Fraction(best, den))
     factors = []
     prev = Fraction(0)
     for d in divisors:
@@ -550,26 +554,34 @@ def rimhook_mismatches(k, n):
     return problems
 
 
-def check_oracles(fast=False):
-    problems = []
-    # module_presentation vs the determinantal-divisor oracle
+def _oracle_cases(n_cases):
+    """check_oracles' random monomial matrices: (rows, cols, entries) with
+    entries[(i, j)] = (coefficient, exponent), drawn from seed 11."""
     rng = np.random.default_rng(11)
     exponent_pool = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
     coeff_pool = [0.0, 1.0, -1.0, 2.0, 1.0 + 1.0j, -0.5 + 1.5j, 3.0 - 1.0j]
-    n_cases = 40 if fast else 200
-    for case in range(n_cases):
+    cases = []
+    for _ in range(n_cases):
         rows = int(rng.integers(2, 4))
         cols = int(rng.integers(2, 4))
         entries = {}
-        grid = []
         for i in range(rows):
-            row = []
             for j in range(cols):
                 c = coeff_pool[int(rng.integers(len(coeff_pool)))]
                 e = exponent_pool[int(rng.integers(len(exponent_pool)))]
                 entries[(i, j)] = (c, e)
-                row.append(NovikovSeries(((e, c),)) if c else NovikovSeries.zero())
-            grid.append(row)
+        cases.append((rows, cols, entries))
+    return cases
+
+
+def check_oracles(fast=False):
+    problems = []
+    # module_presentation vs the determinantal-divisor oracle
+    n_cases = 40 if fast else 200
+    for case, (rows, cols, entries) in enumerate(_oracle_cases(n_cases)):
+        grid = [[NovikovSeries(((e, c),)) if c else NovikovSeries.zero()
+                 for c, e in (entries[i, j] for j in range(cols))]
+                for i in range(rows)]
         dec = module_presentation(NovikovMatrix(grid), two_step=True)
         free, torsion = _monomial_oracle(rows, cols, entries)
         if dec.free_rank != free or tuple(dec.torsion_exponents) != torsion:

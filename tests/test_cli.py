@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -321,6 +322,24 @@ def test_critical_output_does_not_depend_on_the_seed(capsys, space):
         assert (near.sum(axis=0) == 1).all() and (near.sum(axis=1) == 1).all()
 
 
+@pytest.mark.parametrize("T0", ["1e-100", "5e-324"])
+def test_critical_at_a_tiny_base_prints_only_critical_points(capsys, T0):
+    # every term of an escaping path's gradient lies far below NEWTON_TOL
+    # here, so an absolute residual test printed 8 points where Fl(3) has 6
+    code, out, _ = run(capsys, "critical", "Fl3", "--l1", "1", "--l2", "1",
+                       "--T0", T0, "--starts", "400")
+    assert code == 0
+    points = json.loads(out)["critical_points"]
+    assert len(points) == 6
+    # at l1 = l2 = 1 the points at T0 are those at T0 = 1 times
+    # (T0^(1/2), T0^(-1/2), 1); fl3_critical_points itself overflows at 5e-324
+    root = math.sqrt(float(T0))
+    want = np.array(fl3_critical_points(1, 1, 1.0)) * [root, 1.0 / root, 1.0]
+    got = np.array([[complex(z["re"], z["im"]) for z in p["y"]] for p in points])
+    near = (np.abs(got[:, None] - want) / np.abs(want)).max(axis=2) < 1e-12
+    assert (near.sum(axis=0) == 1).all() and (near.sum(axis=1) == 1).all()
+
+
 def test_critical_zero_starts_exits_2(capsys):
     code, out, err = run(capsys, "critical", "Fl3", "--starts", "0")
     assert code == 2
@@ -390,6 +409,28 @@ def test_match_c1_checks_the_profile_itself():
     space = dataclasses.replace(SPACES["Gr24"], critical_values=lambda p, T0: [0j] * 4)
     with pytest.raises(ValueError, match="drop strictly at step 2"):
         space.match_c1(SimpleNamespace(lam=0), 0.5, 1e-7)
+
+
+def test_match_decides_below_the_tolerance(capsys):
+    # every value is below 8.1e-20 here, so an absolute tol = 1e-7 paired
+    # anything with anything and matched: true decided nothing
+    code, out, _ = run(capsys, "match", "Gr25", "--lam", "50", "--T0", "1/100")
+    assert code == 0
+    assert json.loads(out)["matched"] is True
+    params = SimpleNamespace(lam=50)
+    space = SPACES["Gr25"]
+    values, eigs, matched, _ = space.match_c1(params, 0.01, 1e-7)
+    assert matched
+    big = max(map(abs, [*values, *eigs]))
+    assert big < 1e-7
+    moved = list(eigs)
+    moved[0] += 1e-3 * big
+    space = dataclasses.replace(space, c1_eigenvalues=lambda q: moved)
+    assert not space.match_c1(params, 0.01, 1e-7)[2]
+    # a multiset of exact zeros still matches itself
+    zeros = dataclasses.replace(space, critical_values=lambda p, T0: [0j] * 10,
+                                c1_eigenvalues=lambda q: [0j] * 10)
+    assert zeros.match_c1(params, 0.01, 1e-7)[2]
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,5 +1,8 @@
 import importlib.util
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -338,6 +341,34 @@ def test_importing_floer_builds_no_table():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module._DISK_TABLE == []
+
+
+def test_differentials_and_disk_counts_load_no_numpy():
+    # a fresh interpreter: importing floer for the differentials and the disk
+    # counts loads no numpy; a disk area does, with the same float as ever
+    code = (
+        "import json, sys\n"
+        "from gcfloer.floer import (disk_area, displacement_energy_bound, fl3_disk,\n"
+        "                           m1_fl3, m1b_gr24, open_gw_series, pair_series)\n"
+        "m1_fl3(1, 1); m1b_gr24(1, 0, 0.3); open_gw_series(0.3 + 0.2j); pair_series()\n"
+        "displacement_energy_bound(1, 0.25)\n"
+        "before = [n for n in sys.modules if n.split('.')[0] == 'numpy']\n"
+        "area = disk_area(fl3_disk([-1.0, 0.0], +1, 1.3, 0.8))\n"
+        "print(json.dumps([before, 'numpy' in sys.modules, repr(area)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert json.loads(proc.stdout) == [[], True, "1.3000000000000012"]
+
+
+def test_gauss_legendre_rule_is_numpys_and_read_only():
+    xg, wg = floer._gauss_legendre(64)
+    want_x, want_w = np.polynomial.legendre.leggauss(64)
+    assert xg.tobytes() == want_x.tobytes() and wg.tobytes() == want_w.tobytes()
+    assert floer._gauss_legendre(64)[0] is xg
+    for arr in (xg, wg):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_disk_table_grows_and_keeps_its_entries(monkeypatch):

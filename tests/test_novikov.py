@@ -1,5 +1,7 @@
+import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcfloer import verify
 from gcfloer.floer import m1_fl3, m1b_gr24
 from gcfloer.novikov import (
     PIVOT_ZERO_TOL,
@@ -426,3 +429,70 @@ def test_sparse_matmul_matches_naive_loop(data):
     a = _with_zero_lines(data, data.draw(novikov_matrices()))
     b = _with_zero_lines(data, data.draw(novikov_matrices(rows=a.cols)))
     assert (a @ b).to_lists() == _naive_matmul(a, b).to_lists()
+
+
+def _reference_monomial_oracle(rows, cols, entries, truncation=Fraction(10)):
+    """verify._monomial_oracle before it cached signs and summed integers:
+    inversions recounted for every permutation of every minor, exponents
+    summed as Fractions."""
+
+    def minor_valuation(rsel, csel):
+        acc = {}
+        size = len(rsel)
+        for perm in itertools.permutations(range(size)):
+            inv = sum(1 for a in range(size) for b in range(a + 1, size) if perm[a] > perm[b])
+            coeff = (-1.0) ** inv
+            exp = Fraction(0)
+            ok = True
+            for a in range(size):
+                c, e = entries[(rsel[a], csel[perm[a]])]
+                if c == 0:
+                    ok = False
+                    break
+                coeff *= c
+                exp += e
+            if not ok:
+                continue
+            acc[exp] = acc.get(exp, 0.0) + coeff
+        vals = [e for e, c in acc.items() if abs(c) > 1e-9 and e < truncation]
+        return min(vals) if vals else None
+
+    divisors = []
+    for r in range(1, min(rows, cols) + 1):
+        best = None
+        for rsel in itertools.combinations(range(rows), r):
+            for csel in itertools.combinations(range(cols), r):
+                v = minor_valuation(rsel, csel)
+                if v is not None and (best is None or v < best):
+                    best = v
+        if best is None:
+            break
+        divisors.append(best)
+    factors = []
+    prev = Fraction(0)
+    for d in divisors:
+        factors.append(d - prev)
+        prev = d
+    rank = len(factors)
+    return (rows - rank) + (cols - rank), tuple(sorted(e for e in factors if e > 0))
+
+
+def _mixed_denominator_cases(n_cases):
+    # thirds and sixths, and exponents at and beyond the truncation T^10
+    rng = random.Random(5)
+    exponents = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6), Fraction(19, 2),
+                 Fraction(10), Fraction(12)]
+    coeffs = [0.0, 1.0, -1.0, 2.0, 1.0 + 1.0j]
+    cases = []
+    for _ in range(n_cases):
+        rows, cols = rng.randint(2, 4), rng.randint(2, 4)
+        cases.append((rows, cols, {(i, j): (rng.choice(coeffs), rng.choice(exponents))
+                                   for i in range(rows) for j in range(cols)}))
+    return cases
+
+
+def test_monomial_oracle_matches_its_reference():
+    cases = verify._oracle_cases(200) + _mixed_denominator_cases(60)
+    for rows, cols, entries in cases:
+        assert verify._monomial_oracle(rows, cols, entries) == \
+            _reference_monomial_oracle(rows, cols, entries)
