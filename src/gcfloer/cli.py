@@ -18,8 +18,8 @@ import math
 import sys
 from fractions import Fraction
 
-from . import gc_core, laurent, numerics, potential, verify
-from .novikov import as_fraction, module_presentation
+from . import gc_core, laurent, novikov, numerics, potential, verify
+from .flags import as_fraction
 from .spaces import SPACES
 
 
@@ -207,7 +207,7 @@ def cmd_floer(args):
             f"{args.space} Floer differentials are out of scope ({space.out_of_scope})"
         )
     label, d = space.floer(args)
-    dec = module_presentation(d, ring=args.ring)
+    dec = novikov.module_presentation(d, ring=args.ring)
     doc = {
         "space": args.space,
         "differential": label,

@@ -4,12 +4,34 @@ A flag manifold F(n_1, ..., n_r; n) is the adjoint orbit of
 diag(lambda_1, ..., lambda_n) for a profile that is blockwise constant
 with strict drops exactly at the steps n_1, ..., n_r.  This module holds
 what defines such a space and needs no numpy, so the reference spaces can
-be built without loading the numeric layers.
+be built without loading the numeric layers.  It also holds as_fraction,
+the exact conversion every layer applies to its numbers, so that a caller
+of it executes no other layer.
 """
 
+import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .novikov import as_fraction
+
+def as_fraction(x):
+    """Convert x to an exact Fraction.
+
+    Floats go through their shortest decimal repr, so as_fraction(0.3) is
+    exactly 3/10.  Integers are any numbers.Integral (numpy's int64 too).
+    Strings accept "p/q" and decimal forms.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float):  # numpy's float64 too, whose repr names its type
+        return Fraction(float.__repr__(x))
+    if isinstance(x, str):
+        return Fraction(x)
+    if isinstance(x, numbers.Integral):  # numpy's integers, which are not int
+        return Fraction(int(x))
+    raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,12 @@ it when called, and reach numerics through the package's lazy module.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import numerics
-from .flags import EigenProfile, FlagShape, index_set, is_constant_entry
-from .novikov import as_fraction
+from .flags import EigenProfile, FlagShape, as_fraction, index_set, is_constant_entry
 
 GC_TOL = 1e-8  # gap at which two pattern values, or a point and a facet, count as equal
 
@@ -285,6 +285,19 @@ def _gc_pattern(shape, profile):
     return target, (idx, constants)
 
 
+@functools.cache
+def _block_masks(n):
+    """For the (n, n, n) stack of gc_map: inside[k] marks the leading
+    (k+1) x (k+1) block of slice k, and rest[k] the rest of its diagonal."""
+    import numpy as np
+
+    k = np.arange(n)
+    inside = (k[None, :, None] <= k[:, None, None]) & (k[None, None, :] <= k[:, None, None])
+    rest = ~inside & (k[:, None] == k)
+    inside.flags.writeable = rest.flags.writeable = False
+    return inside, rest
+
+
 def gc_map(x, shape, profile):
     """Gelfand-Cetlin map: eigenvalues of upper-left submatrices of x.
 
@@ -295,17 +308,32 @@ def gc_map(x, shape, profile):
     interlacing forces to be constant are.  |x - x*| and |x| are built once
     for all of these Hermitian decisions, and what depends only on (shape,
     profile) is computed once per pair in a small memo.
+
+    One eigvalsh call gives every block's eigenvalues.  Slice k of an
+    (n, n, n) stack holds the leading k x k block of x; the rest of its
+    diagonal holds pad = 2 n scale + 1, with scale = max(1, max |x|)
+    (capped at the largest double, so that no slice holds an inf), and
+    every other entry is 0.  The slice is block diagonal, so its spectrum
+    is the block's and n - k copies of pad.  Every eigenvalue of the block
+    lies within k scale of 0, below pad, so the block's eigenvalues are the
+    k smallest.  The exact zeros split the pad off LAPACK's tridiagonal
+    form, and on check 08's orbit points the block's eigenvalues come out
+    bit for bit as from eigvalsh on the block alone.
     """
     import numpy as np
 
     a, defect, scale = numerics.leading_block_defects(x)
     numerics.require_hermitian(defect[-1], scale[-1])
-    spec = np.linalg.eigvalsh(a)[::-1].tolist()
+    m = a.shape[0]
+    inside, rest = _block_masks(m)
+    pad = min(2.0 * m * scale[-1] + 1.0, sys.float_info.max)
+    # row k - 1: m - k pads, then block k's eigenvalues in decreasing order
+    rows = np.linalg.eigvalsh(np.where(inside, a, rest * pad))[:, ::-1].tolist()
     n = shape.ambient
-    if a.shape[0] != n:
+    if m != n:
         raise ValueError("matrix size does not match the ambient dimension")
     target, pattern = _gc_pattern(shape, profile)
-    for got, want in zip(spec, target):
+    for got, want in zip(rows[-1], target):
         if abs(got - want) > GC_TOL:
             raise ValueError(
                 f"matrix is not on the orbit: eigenvalue {got:.12g} != {want:.12g}"
@@ -316,7 +344,7 @@ def gc_map(x, shape, profile):
     level_eigs = {}
     for k in range(1, n):
         numerics.require_hermitian(defect[k - 1], scale[k - 1])
-        level_eigs[k] = np.linalg.eigvalsh(a[:k, :k])[::-1].tolist()
+        level_eigs[k] = rows[k - 1][n - k:]
     values = [level_eigs[k][i - 1] for i, k in idx]
     for i, k, want in constants:
         got = level_eigs[k][i - 1]

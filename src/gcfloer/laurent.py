@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gc_core import build_polytope
-from .novikov import as_fraction
+from .flags import as_fraction
 
 
 @dataclass(frozen=True)

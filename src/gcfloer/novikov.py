@@ -18,35 +18,16 @@ needs no numpy, so the floer command runs without it.
 
 import cmath
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .flags import as_fraction
 
 DEFAULT_TRUNCATION = Fraction(10)
 COEFF_PRUNE = 1e-14
 PIVOT_ZERO_TOL = 1e-10
 SQUARE_ZERO_TOL = 1e-12  # largest |coefficient| of d @ d that still counts as d^2 = 0
-
-
-def as_fraction(x):
-    """Convert x to an exact Fraction.
-
-    Floats go through their shortest decimal repr, so as_fraction(0.3) is
-    exactly 3/10.  Integers are any numbers.Integral (numpy's int64 too).
-    Strings accept "p/q" and decimal forms.
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):  # numpy's float64 too, whose repr names its type
-        return Fraction(float.__repr__(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, numbers.Integral):  # numpy's integers, which are not int
-        return Fraction(int(x))
-    raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 
 def _modulus(z):

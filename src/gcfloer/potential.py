@@ -30,11 +30,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .flags import EigenProfile, grassmannian_shape, index_set
+from .flags import EigenProfile, as_fraction, grassmannian_shape, index_set
 from .gc_core import contains
 # callers import the exact potential from here too
 from .laurent import LaurentPoly, LaurentTerm, build_potential  # noqa: F401
-from .novikov import as_fraction
 from .numerics import NonConvergenceError
 
 NEWTON_TOL = 1e-10  # a Newton start has converged once max |grad| < NEWTON_TOL
@@ -210,15 +209,17 @@ def _representatives(w):
 
 
 def _newton(E, c, w):
-    """Run Newton from every row of w at once; return the rows that reach
-    max |grad| < NEWTON_TOL within MAX_ITERS iterations, in start order.
+    """Run Newton from every row of w at once, row i at the coefficients
+    c[i] (c may also be one row for all).  Each row that reaches
+    max |grad| < NEWTON_TOL within MAX_ITERS iterations is replaced in w by
+    its limit; returns the mask of those rows.
 
     A start stops for good when its solve raises LinAlgError or its step
     norm is not finite; steps longer than 20 are clamped to norm 20.
     """
-    # x holds the rows of the starts still iterating, active their indices;
-    # a converged row is written back into w
-    active, x = np.arange(len(w)), w
+    # x and c hold the rows of the starts still iterating, active their
+    # indices; a converged row is written back into w
+    active, x, c = np.arange(len(w)), w, np.broadcast_to(c, (len(w), len(E)))
     converged = np.zeros(len(w), bool)
     for _ in range(MAX_ITERS):
         if not len(active):
@@ -228,7 +229,8 @@ def _newton(E, c, w):
         if done.any():
             converged[active[done]] = True
             w[active[done]] = x[done]
-            active, x, grad, hess = active[~done], x[~done], grad[~done], hess[~done]
+            active, x, c = active[~done], x[~done], c[~done]
+            grad, hess = grad[~done], hess[~done]
         step, singular = _solve_steps(hess, grad)
         del grad, hess  # not held while the next iteration builds its own
         norm = np.linalg.norm(step, axis=1)
@@ -237,9 +239,9 @@ def _newton(E, c, w):
         if long.any():
             step[long] *= (20.0 / norm[long])[:, None]
         if not moving.all():
-            active, x, step = active[moving], x[moving], step[moving]
+            active, x, c, step = active[moving], x[moving], c[moving], step[moving]
         x = x + step
-    return w[converged]
+    return converged
 
 
 def _polish(E, c, w):
@@ -336,36 +338,50 @@ def _generic_coefficients(rng, terms):
     ])
 
 
-def _start_solve(E, volume, config):
-    """The start system: generic coefficients a and its `volume` critical points w.
+def _start_solve(E, volume, configs):
+    """The start systems of configs (one per seed and starts budget): for
+    each, generic coefficients a and its `volume` critical points w.
 
-    a comes first from random.Random(config.seed), then chunks of
-    STARTS_PER_ROOT * volume Newton starts from the same stream.  Each
-    chunk's nondegenerate limits join the deduplicated set, until it holds
-    `volume` points.  Raises NonConvergenceError when config.starts starts
-    are spent first.
+    A config's a comes first from random.Random(config.seed), then chunks
+    of STARTS_PER_ROOT * volume Newton starts from the same stream.  Each
+    chunk's nondegenerate limits join the config's deduplicated set, until
+    it holds `volume` points.  The configs run in rounds: the next chunk of
+    every config still short of its volume joins one _newton array, with
+    one row of coefficients per start, and one determinant test; so each
+    config finds what it finds alone.  Returns one (a, w) per config, and
+    raises NonConvergenceError for the first config that spent its
+    config.starts starts first.
     """
-    rng = random.Random(config.seed)
-    a = _generic_coefficients(rng, len(E))
-    found = np.empty((0, E.shape[1]), dtype=complex)
-    drawn = degenerate = 0
+    n = E.shape[1]
+    rngs = [random.Random(config.seed) for config in configs]
+    coeffs = [_generic_coefficients(rng, len(E)) for rng in rngs]
+    found = [np.empty((0, n), dtype=complex) for _ in configs]
+    drawn, degenerate = [0] * len(configs), [0] * len(configs)
     with np.errstate(all="ignore"):  # a start that overflows stops (see _newton)
-        while len(found) < volume and drawn < config.starts:
-            count = min(STARTS_PER_ROOT * volume, config.starts - drawn)
-            drawn += count
-            w = _newton(E, a, _start_points(rng, count, E.shape[1]))
-            if len(w):
-                _, singular = _normalized_det(_grad_hess_at_w(E, a, w)[1])
-                degenerate += int(singular.sum())
-                found = np.concatenate((found, _canonical_w(w[~singular])))
-                found = found[_representatives(found)]
-    if len(found) != volume:
-        raise NonConvergenceError(
-            f"the start solve found {len(found)} of the {volume} critical points of its "
-            f"generic potential (starts={config.starts}, seed={config.seed}; "
-            f"{degenerate} Newton limits had a degenerate Hessian)"
-        )
-    return a, found
+        while short := [i for i, config in enumerate(configs)
+                        if len(found[i]) < volume and drawn[i] < config.starts]:
+            counts = [min(STARTS_PER_ROOT * volume, configs[i].starts - drawn[i]) for i in short]
+            w = np.concatenate([_start_points(rngs[i], count, n) for i, count in zip(short, counts)])
+            c = np.repeat([coeffs[i] for i in short], counts, axis=0)
+            owner = np.repeat(short, counts)
+            converged = _newton(E, c, w)
+            _, singular = _normalized_det(_grad_hess_at_w(E, c[converged], w[converged])[1])
+            owner, w = owner[converged], w[converged]
+            for i, count in zip(short, counts):
+                drawn[i] += count
+                mine = owner == i
+                if mine.any():
+                    degenerate[i] += int(singular[mine].sum())
+                    found[i] = np.concatenate((found[i], _canonical_w(w[mine & ~singular])))
+                    found[i] = found[i][_representatives(found[i])]
+    for config, points, bad in zip(configs, found, degenerate):
+        if len(points) != volume:
+            raise NonConvergenceError(
+                f"the start solve found {len(points)} of the {volume} critical points of its "
+                f"generic potential (starts={config.starts}, seed={config.seed}; "
+                f"{bad} Newton limits had a degenerate Hessian)"
+            )
+    return list(zip(coeffs, found))
 
 
 def _velocity(E, log_a, d, w, t):
@@ -439,8 +455,9 @@ def _finish(E, c, w):
     return w, (residual < NEWTON_TOL * scale) & np.isfinite(w).all(axis=1)
 
 
-def _critical_candidates(E, c, w, config):
-    """The finished endpoints w as a sorted CriticalCandidate list.
+def _critical_candidates(E, targets, ends, configs):
+    """The finished endpoints ends[k] at the coefficients targets[k] as a
+    sorted CriticalCandidate tuple, for each k.
 
     Endpoints with a degenerate Hessian are dropped.  Each one the dedupe
     keeps is polished, its canonical w rounded to the grid GRID, and
@@ -449,33 +466,58 @@ def _critical_candidates(E, c, w, config):
     so the result is a function of the set of grid points.  The exception
     is a point within about 1e-15 of the edge of a grid cell, which can
     round either way.
+
+    The targets' points form one array, with one row of coefficients per
+    point, for the determinant test, both polishes and the final gradient
+    and determinant; the dedupe and the sort run per target.  Raises
+    NonConvergenceError for the first target whose endpoints all have a
+    degenerate Hessian, else for the first whose polished points are all
+    non-finite.
     """
+    def joined(parts):
+        """parts as one array, a coefficient row per row, and the split points."""
+        counts = [len(part) for part in parts]
+        return np.concatenate(parts), np.repeat(targets, counts, axis=0), np.cumsum(counts)[:-1]
+
+    w, c, cuts = joined(ends)
     _, degenerate = _normalized_det(_grad_hess_at_w(E, c, w)[1])
-    if degenerate.all():
-        raise NonConvergenceError(
-            f"every finished path has a degenerate Hessian "
-            f"(starts={config.starts}, finished={len(w)})"
-        )
-    w = _canonical_w(w[~degenerate])
-    w = _canonical_w(_polish(E, c, w[_representatives(w)]))
+    parts = []
+    for config, part, dropped in zip(configs, ends, np.split(degenerate, cuts)):
+        if dropped.all():
+            raise NonConvergenceError(
+                f"every finished path has a degenerate Hessian "
+                f"(starts={config.starts}, finished={len(part)})"
+            )
+        part = _canonical_w(part[~dropped])
+        parts.append(part[_representatives(part)])
+    w, c, cuts = joined(parts)
+    w = _canonical_w(_polish(E, c, w))
     w = np.round(w / GRID) * GRID + 0.0  # + 0.0: one grid point for 0.0 and -0.0
-    # lexsort's primary key is its last row
-    keys = np.stack([w.real, w.imag], axis=-1).reshape(len(w), -1)
-    w = _polish(E, c, w[np.lexsort(keys.T[::-1])])
+    parts = []
+    for part in np.split(w, cuts):
+        # lexsort's primary key is its last row
+        keys = np.stack([part.real, part.imag], axis=-1).reshape(len(part), -1)
+        parts.append(part[np.lexsort(keys.T[::-1])])
+    w = _polish(E, c, np.concatenate(parts))
 
     grad, hess = _grad_hess_at_w(E, c, w)
     det, _ = _normalized_det(hess)
     residual = np.max(np.abs(grad), axis=1)
     points = np.exp(w)
     finite = np.isfinite(points).all(axis=1) & np.isfinite(residual) & np.isfinite(det)
-    if not finite.any():
-        raise NonConvergenceError(
-            f"every polished critical point is non-finite (starts={config.starts})"
-        )
-    return tuple(
-        CriticalCandidate(y=tuple(y), residual=float(r), hessian_det=float(d))
-        for y, r, d in zip(points[finite], residual[finite], det[finite])
-    )
+    results = []
+    for config, rows in zip(configs, np.split(np.arange(len(w)), cuts)):
+        rows = rows[finite[rows]]
+        if not len(rows):
+            raise NonConvergenceError(
+                f"every polished critical point is non-finite (starts={config.starts})"
+            )
+        results.append(tuple(
+            CriticalCandidate(y=tuple(points[i]), residual=float(residual[i]),
+                              hessian_det=float(det[i]))
+            for i in rows
+        ))
+    return results
 
 
 @dataclass(frozen=True)
@@ -494,28 +536,30 @@ class HomotopyResult:
 def track_critical_points(po, configs):
     """The critical points of po at each config's T0, by the homotopy.
 
-    Configs with one seed and one starts budget share a start solve (see
-    _start_solve), and every path to every target is tracked in one array.
-    Each path that reaches S_CUTOFF is finished by FINISH_STEPS Newton steps
-    at s = 1; the finished endpoints go through _critical_candidates.
-    Returns one HomotopyResult per config, in order.  Raises ValueError
-    when a coefficient at some T0 is 0 or not finite (T0^t_exp has left the
-    doubles, so the path would end at another potential), and
-    NonConvergenceError when the start solve falls short of the volume or a
-    target keeps no finite, nondegenerate critical point.
+    Configs with one seed and one starts budget share a start system, and
+    the start systems of all of them are solved together (_start_solve).
+    Every path to every target is tracked in one array.  Each path that
+    reaches S_CUTOFF is finished by FINISH_STEPS Newton steps at s = 1; the
+    finished endpoints of all targets go through _critical_candidates
+    together.  Returns one HomotopyResult per config, in order.  Raises
+    ValueError when a coefficient at some T0 is 0 or not finite (T0^t_exp
+    has left the doubles, so the path would end at another potential), and
+    NonConvergenceError when a start solve falls short of the volume, no
+    path to a target finishes, or a target keeps no finite, nondegenerate
+    critical point.
     """
     E = exponent_matrix(po)
-    targets = [coeff_vector(po, config.T0) for config in configs]
+    targets = np.array([coeff_vector(po, config.T0) for config in configs])
     for config, c in zip(configs, targets):
         if not (np.isfinite(c).all() and c.all()):
             raise ValueError(
                 f"a coefficient T0^t_exp of the potential is 0 or not finite at T0 = {config.T0}"
             )
     volume = newton_volume(tuple(t.y_exp for t in po.terms))
-    solves = {}
+    groups = {}
     for config in configs:
-        if (config.seed, config.starts) not in solves:
-            solves[config.seed, config.starts] = _start_solve(E, volume, config)
+        groups.setdefault((config.seed, config.starts), config)
+    solves = dict(zip(groups, _start_solve(E, volume, list(groups.values()))))
     starts = [solves[config.seed, config.starts] for config in configs]
     log_a = np.repeat([np.log(a) for a, _ in starts], volume, axis=0)
     c = np.repeat(targets, volume, axis=0)
@@ -523,18 +567,16 @@ def track_critical_points(po, configs):
     w, finished = _finish(E, c, cut)
     finished &= reached
 
-    results = []
-    for k, (config, target) in enumerate(zip(configs, targets)):
-        rows = slice(k * volume, (k + 1) * volume)
-        if not finished[rows].any():
+    rows = [slice(k * volume, (k + 1) * volume) for k in range(len(configs))]
+    for config, r in zip(configs, rows):
+        if not finished[r].any():
             raise NonConvergenceError(
                 f"no path of the homotopy finished (starts={config.starts}, paths={volume}, "
-                f"stalled={int((~reached[rows]).sum())})"
+                f"stalled={int((~reached[r]).sum())})"
             )
-        results.append(HomotopyResult(
-            _critical_candidates(E, target, w[rows][finished[rows]], config),
-            cut[rows][reached[rows] & ~finished[rows]], volume))
-    return results
+    points = _critical_candidates(E, targets, [w[r][finished[r]] for r in rows], configs)
+    return [HomotopyResult(p, cut[r][reached[r] & ~finished[r]], volume)
+            for p, r in zip(points, rows)]
 
 
 def find_critical_points(po, config=SolverConfig()):

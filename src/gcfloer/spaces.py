@@ -15,7 +15,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 from . import flags, novikov, potential, qh
-from .novikov import as_fraction
+from .flags import as_fraction
 
 UNIT = SimpleNamespace(l1=1, l2=1, lam=1)
 
@@ -106,13 +106,16 @@ class Space:
         The multisets are compared at tol min(1, M), M the largest modulus
         across both: once every value lies below tol, an absolute tol would
         pair anything with anything.  Where M = 0 (every value an exact
-        zero) the comparison is at tol.  Returns (values, eigenvalues,
+        zero) the comparison is at tol.  The quantum parameters are checked
+        before the critical values are built, so a q_j that leaves the
+        normal doubles is named as such.  Returns (values, eigenvalues,
         matched, pairing), the last two as from qh.multiset_match.
         """
         profile = self.profile(params)
         profile.validate(self.shape)
+        q = self.quantum_parameters(profile, T0)
         values = self.critical_values(params, T0)
-        eigs = self.c1_eigenvalues(self.quantum_parameters(profile, T0))
+        eigs = self.c1_eigenvalues(q)
         scale = min(1.0, max(map(abs, [*values, *eigs]), default=0.0)) or 1.0
         matched, pairing = qh.multiset_match(
             values, eigs, tol * scale, allow_zero_padding=self.pad_zeros

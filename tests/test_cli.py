@@ -110,14 +110,14 @@ def test_polytope_non_finite_point_is_invalid_input(capsys):
 
 
 def test_cli_import_runs_no_numeric_layer():
-    # `import gcfloer.cli` runs on every command: numpy and the numeric
-    # layers must wait for a command that uses them (a cold call pays for
-    # whatever this import executes)
+    # `import gcfloer.cli` runs on every command: numpy, the numeric layers
+    # and the Novikov layer must wait for a command that uses them (a cold
+    # call pays for whatever this import executes)
     code = (
         "import json, sys, gcfloer.cli; "
         "print(json.dumps(['numpy' in sys.modules, "
         "[n for n in ('gc_core', 'laurent', 'potential', 'qh', 'numerics', 'floer', "
-        "'verify') "
+        "'verify', 'novikov') "
         "if type(sys.modules['gcfloer.' + n]).__name__ != '_LazyModule']]))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -143,11 +143,13 @@ def test_profile_beyond_the_floats_is_invalid_input(capsys, command):
 
 @pytest.mark.parametrize("flags", [("--l2", "1e300", "--T0", "0.5"), ("--T0", "5e-324")])
 def test_match_fl3_overflow_is_invalid_input(capsys, flags):
-    # T0^-l2 overflowed in fl3_critical_points: exit 1 with a traceback
+    # T0^-l2 overflowed in fl3_critical_points: exit 1 with a traceback.
+    # Both inputs make a q_j 0 or subnormal (q2 = 0.5^1e300, q1 = 5e-324),
+    # and q is checked before the critical values, which would overflow
     code, out, err = run(capsys, "match", "Fl3", *flags)
     assert code == 2
     assert out == ""
-    assert "overflow the doubles" in err
+    assert "quantum parameter T0^gap is 0 or subnormal" in err
 
 
 def test_critical_underflowing_coefficient_is_invalid_input(capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcfloer import gc_core, numerics
+from gcfloer import gc_core, numerics, verify
 from gcfloer.gc_core import (
     GCPoint,
     build_polytope,
@@ -385,6 +385,59 @@ def test_fiber_point_takes_an_integer_array():
 
 FL4_WALL_PATTERN = {(1, 1): 1.5, (1, 2): 1.5, (2, 2): 1.5, (1, 3): 3.0, (2, 3): 1.5,
                     (3, 3): 0.0}
+
+
+def _per_block_values(x, index):
+    """gc_map's values from one eigvalsh call per leading block."""
+    return [float(np.linalg.eigvalsh(x[:k, :k])[::-1][i - 1]) for i, k in index]
+
+
+def _assert_per_block(x, shape, profile):
+    u = gc_map(x, shape, profile)
+    want = _per_block_values(x, u.index)
+    assert np.abs(np.array(u.values) - want).max() <= 1e-12 * max(1.0, np.abs(x).max())
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_gc_map_matches_per_block_eigenvalues(scale):
+    # gc_map takes every block's eigenvalues from one stacked eigvalsh with
+    # a padded diagonal: random Hermitian matrices of sizes 2 to 6, on the
+    # full flag of their own spectrum
+    rng = np.random.default_rng(41)
+    for n in range(2, 7):
+        shape = FlagShape(tuple(range(1, n)), n)
+        for _ in range(20):
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            x = scale * (g + g.conj().T)
+            profile = EigenProfile(tuple(map(float, np.linalg.eigvalsh(x)[::-1])))
+            _assert_per_block(x, shape, profile)
+
+
+def test_gc_map_matches_per_block_eigenvalues_with_repeats():
+    # fiber points, whose blocks repeat eigenvalues (clusters squeeze
+    # entries onto each other and onto the profile's repeated values)
+    rng = np.random.default_rng(43)
+    for name, points in verify._FIBER_POINTS.items():
+        space = SPACES[name]
+        profile = space.profile(UNIT)
+        for u in points:
+            for _ in range(5):
+                _assert_per_block(fiber_point(space.shape, profile, u, rng), space.shape, profile)
+    # a pad 2 n scale + 1 beyond the doubles is capped; the blocks still map
+    x = np.diag([1e308, 0.0, -1e308]).astype(complex)
+    x[0, 1] = x[1, 0] = 0.5
+    _assert_per_block(x, FL3, EigenProfile(tuple(map(float, np.linalg.eigvalsh(x)[::-1]))))
+
+
+def test_gc_map_is_per_block_bit_for_bit_on_check_08_points():
+    # check 08's orbit points (seed 2024, 334 per space): the stacked call
+    # gives the bytes of one eigvalsh per block
+    rng = np.random.default_rng(2024)
+    for name, space in SPACES.items():
+        profile = space.profile(UNIT)
+        for x in verify._random_orbit_points(rng, profile, 334):
+            u = gc_map(x, space.shape, profile)
+            assert np.array(u.values).tobytes() == np.array(_per_block_values(x, u.index)).tobytes()
 
 
 def test_gc_map_rejects_off_orbit():

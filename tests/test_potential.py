@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcfloer import potential
+from gcfloer import potential, verify
 from gcfloer.flags import EigenProfile, FlagShape, grassmannian_shape
 from gcfloer.gc_core import build_polytope
 from gcfloer.numerics import NonConvergenceError
@@ -119,13 +119,18 @@ def test_non_finite_polished_points_are_dropped(monkeypatch):
     # come back as they do alone, and with none left the solver raises
     po, cfg = fl3_potential(), SolverConfig(starts=120)
     want = find_critical_points(po, cfg)
-    polish = potential._polish
+    polish, calls = potential._polish, []
 
-    def with_far_row(E, c, w):
-        return np.concatenate((polish(E, c, w), [[800.0 + 0j] * w.shape[1]]))
+    def last_row_far(E, c, w):
+        # the second polish, of the sorted points, sends the last one far
+        w = polish(E, c, w)
+        calls.append(len(w))
+        if len(calls) == 2:
+            w[-1] = 800.0
+        return w
 
-    monkeypatch.setattr(potential, "_polish", with_far_row)
-    assert find_critical_points(po, cfg) == want
+    monkeypatch.setattr(potential, "_polish", last_row_far)
+    assert find_critical_points(po, cfg) == want[:-1]
     monkeypatch.setattr(potential, "_polish", lambda E, c, w: np.full(w.shape, 800.0 + 0j))
     with pytest.raises(NonConvergenceError, match="non-finite"):
         find_critical_points(po, cfg)
@@ -213,7 +218,7 @@ def _matches_reference(po, config):
     to 1e-12; the start solve stops once it holds the volume."""
     E = exponent_matrix(po)
     volume = potential.newton_volume(tuple(t.y_exp for t in po.terms))
-    a, found = potential._start_solve(E, volume, config)
+    [(a, found)] = potential._start_solve(E, volume, [config])
     rng = random.Random(config.seed)
     assert potential._generic_coefficients(rng, len(E)).tobytes() == a.tobytes()
     with np.errstate(all="ignore"):
@@ -357,8 +362,9 @@ def test_overflowing_start_stops_without_raising():
     E, c = exponent_matrix(po), coeff_vector(po, 0.5)
     good = potential._start_points(random.Random(0), 1, 3)
     far = np.array([[400.0, -400.0, 400.0]], dtype=complex)
-    got = potential._newton(E, c, np.concatenate((far, good)))
-    want = potential._newton(E, c, good.copy())
+    w = np.concatenate((far, good))
+    got = w[potential._newton(E, c, w)]
+    want = good[potential._newton(E, c, good)]
     assert len(got) == len(want) == 1
     assert np.abs(got - want).max() < 1e-8
 
@@ -517,15 +523,57 @@ def test_homotopy_is_certified(name):
 
 
 def test_targets_share_one_start_solve(monkeypatch):
+    # one start system per (seed, starts), all solved in one _start_solve
     calls, solve = [], potential._start_solve
-    monkeypatch.setattr(potential, "_start_solve",
-                        lambda E, volume, config: calls.append(config.seed) or solve(E, volume, config))
+    monkeypatch.setattr(potential, "_start_solve", lambda E, volume, configs: calls.append(
+        [(config.seed, config.starts) for config in configs]) or solve(E, volume, configs))
     po = fl3_potential()
-    configs = [SolverConfig(T0=T0, starts=200, seed=seed) for seed in (0, 1) for T0 in (0.5, 0.6)]
+    configs = [SolverConfig(T0=T0, starts=starts, seed=seed)
+               for seed, starts in ((0, 200), (1, 200), (0, 300)) for T0 in (0.5, 0.6)]
     results = track_critical_points(po, configs)
-    assert calls == [0, 1]
+    assert calls == [[(0, 200), (1, 200), (0, 300)]]
     for config, res in zip(configs, results):
         assert list(res.points) == find_critical_points(po, config)
+
+
+def _candidate_bytes(points):
+    return np.array([(*c.y, c.residual, c.hessian_det) for c in points]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["Fl3", "Gr24", "Gr25"])
+def test_batched_solves_match_separate_runs(name, monkeypatch):
+    # check 02's configurations: the start systems of its three seeds,
+    # solved in one array, are each seed's alone, and the candidates of its
+    # six targets, worked in one array, are each target's alone, byte for byte
+    space = SPACES[name]
+    po = build_potential(space.shape, space.profile(UNIT))
+    configs = [SolverConfig(T0=T0, starts=verify._STARTS[name], seed=seed)
+               for seed in (0, 1, 2) for T0 in (0.5, 0.6)]
+    E = exponent_matrix(po)
+    volume = newton_volume(tuple(t.y_exp for t in po.terms))
+    seeds = configs[::2]
+    for config, (a, w) in zip(seeds, potential._start_solve(E, volume, seeds)):
+        [(a_alone, w_alone)] = potential._start_solve(E, volume, [config])
+        assert a.tobytes() == a_alone.tobytes()
+        assert w.tobytes() == w_alone.tobytes()
+    calls, candidates = [], potential._critical_candidates
+    monkeypatch.setattr(potential, "_critical_candidates",
+                        lambda *args: calls.append(args) or candidates(*args))
+    results = track_critical_points(po, configs)
+    [(E, targets, ends, _)] = calls
+    for k, (config, res) in enumerate(zip(configs, results)):
+        [alone] = candidates(E, targets[k:k + 1], ends[k:k + 1], [config])
+        assert _candidate_bytes(res.points) == _candidate_bytes(alone)
+
+
+def test_start_solve_names_the_config_that_falls_short():
+    # the configs share each round's Newton array; the one whose budget is
+    # spent short of the volume is named
+    po = gr25_potential()
+    E = exponent_matrix(po)
+    configs = [SolverConfig(starts=900, seed=0), SolverConfig(starts=10, seed=1)]
+    with pytest.raises(NonConvergenceError, match=r"found .* of the 20 .*starts=10, seed=1"):
+        potential._start_solve(E, 20, configs)
 
 
 def test_start_budget_below_the_volume_raises():
